@@ -1,16 +1,14 @@
 """Micro-benchmarks of the deduction hot path.
 
-Times the three optimisations this repository's hot path is built on:
+Times:
 
-* **trail probing** — apply-then-undo of a candidate decision versus the
-  legacy deep-copy-then-apply (``VcsConfig.use_trail``);
-* **indexed rule dispatch** — the type-keyed dispatch table of the
-  deduction engine versus the linear ``rule.applies`` scan
-  (``DeductionProcess(indexed_dispatch=...)``);
-* **full scheduler passes** in both probing modes over a seeded synthetic
-  workload (scaled by ``REPRO_BENCH_BLOCKS``).
+* **trail probing** — apply-then-undo of a candidate decision, the
+  scheduler's one way to probe, versus the copy-then-apply reference
+  oracle (:meth:`DeductionProcess.check`);
+* **full scheduler passes** over a seeded synthetic workload (scaled by
+  ``REPRO_BENCH_BLOCKS``).
 
-``scripts/bench_report.py`` aggregates the same comparisons (plus a
+``scripts/bench_report.py`` aggregates the scheduler legs (plus a
 baseline git revision) into ``BENCH_vcs.json`` for trend tracking.
 """
 
@@ -20,7 +18,7 @@ from benchmarks.conftest import bench_blocks
 from repro.deduction import DeductionProcess, SchedulingState
 from repro.deduction.consequence import ScheduleInCycle, SetExitDeadlines
 from repro.machine import paper_2c_8i_1lat
-from repro.scheduler import VcsConfig, VirtualClusterScheduler
+from repro.scheduler import VirtualClusterScheduler
 from repro.sgraph import SchedulingGraph
 from repro.workloads.synth import GeneratorConfig, SuperblockGenerator
 
@@ -60,33 +58,12 @@ def test_bench_probe_with_trail(benchmark, probe_context):
 
 
 def test_bench_probe_with_copy(benchmark, probe_context):
-    """Deep-copy-then-apply of the same decision (copy-mode probing).
-
-    Note: this is the *current* code base with copy-based probing — it
-    still benefits from the indexed dispatch and candidate caches and pays
-    for trail recording, so it isolates the probing strategy only.  The
-    honest before/after comparison against the seed revision is produced
-    by ``scripts/bench_report.py`` (``--baseline-rev``)."""
+    """Deep-copy-then-apply of the same decision — the reference oracle
+    the tests check in-place probing against, timed for comparison."""
     dp, state, decision = probe_context
 
     def probe():
-        return dp.apply(state.copy(), decision, in_place=True)
-
-    result = benchmark(probe)
-    assert result.ok
-
-
-@pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "linear"])
-def test_bench_rule_dispatch(benchmark, probe_context, indexed):
-    """Type-indexed dispatch table vs linear ``rule.applies`` scan."""
-    _, state, decision = probe_context
-    dp = DeductionProcess(indexed_dispatch=indexed)
-
-    def probe():
-        mark = state.checkpoint()
-        result = dp.apply(state, decision, in_place=True)
-        state.rollback(mark)
-        return result
+        return dp.check(state, decision)
 
     result = benchmark(probe)
     assert result.ok
@@ -98,28 +75,27 @@ def workload():
     return gen.generate_many("perf", max(bench_blocks(), 1)), paper_2c_8i_1lat()
 
 
-@pytest.mark.parametrize("use_trail", [True, False], ids=["trail", "copy"])
-def test_bench_vcs_full_pass(benchmark, workload, use_trail):
-    """One full scheduling pass over the synthetic workload, both modes."""
+def test_bench_vcs_full_pass(benchmark, workload):
+    """One full scheduling pass over the synthetic workload."""
     blocks, machine = workload
-    config = VcsConfig(use_trail=use_trail)
 
     def run():
-        return [VirtualClusterScheduler(config).schedule(b, machine) for b in blocks]
+        return [VirtualClusterScheduler().schedule(b, machine) for b in blocks]
 
     results = benchmark(run)
     assert all(r.ok for r in results)
 
 
-def test_trail_avoids_every_copy(workload):
-    """Bookkeeping check backing the BENCH report's copies-avoided metric:
-    the trail run performs zero state copies and at least as many in-place
-    probes as the copy run performs deep copies."""
+def test_trail_avoids_every_copy(workload, monkeypatch):
+    """The scheduler probes only in place: a full pass never copies a
+    scheduling state."""
     blocks, machine = workload
+
+    def no_copy(self):
+        raise AssertionError("the scheduler copied a SchedulingState")
+
+    monkeypatch.setattr(SchedulingState, "copy", no_copy)
     for block in blocks:
-        trail = VirtualClusterScheduler(VcsConfig(use_trail=True)).schedule(block, machine)
-        copy = VirtualClusterScheduler(VcsConfig(use_trail=False)).schedule(block, machine)
-        assert trail.stats["copies"] == 0
-        assert copy.stats["probes"] == 0
-        assert trail.stats["copies_avoided"] >= copy.stats["copies"]
-        assert trail.work == copy.work
+        result = VirtualClusterScheduler().schedule(block, machine)
+        assert result.ok
+        assert result.stats["probes"] > 0

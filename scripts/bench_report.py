@@ -3,17 +3,14 @@
 
 Runs the proposed scheduler over the paper's three machine configurations
 (2c-8i-1lat, 4c-16i-1lat, 4c-16i-2lat) on the hand-written kernels plus a
-seeded synthetic workload, and records for each configuration and probing
-mode (trail vs legacy copy):
+seeded synthetic workload, and records for each configuration:
 
 * wall time and schedules/second,
 * deterministic DP work (deduction rule firings), including the per-rule-
   class split (``dp_rule_<RuleName>`` counters),
-* trail counters (probes, rollbacks, redos, copies avoided), probe-cache
-  hit/miss counters, candidate-pruning / early-cut counters and
-  propagation-queue push/coalesce counters, plus the share of the VCS
-  stage wall spent in the two probing stages (fix-cycles +
-  fix-communications),
+* trail counters (probes, rollbacks, redos) and early-cut counters, plus
+  the share of the VCS stage wall spent in the two probing stages
+  (fix-cycles + fix-communications),
 * total AWCT (quality invariance check),
 * a SHA-256 digest of every produced schedule (the byte-identity key the
   CI perf-regression gate compares).
@@ -36,7 +33,7 @@ ratios vs the full run and vs pure CARS, tier transitions and the
 partial-finalize rate (the gate requires the section and warns on curve
 drift).
 
-The trail-mode workload is run twice through the parallel batch runner
+The vcs workload is run twice through the parallel batch runner
 (``repro.runner``): once serially and once with ``--jobs`` workers, so
 the report also records the sharded runner's wall-time throughput and
 verifies that parallel execution leaves every schedule byte-identical.
@@ -104,37 +101,21 @@ def build_workload(n_synth):
     return blocks
 
 
-def vcs_config_for(mode):
-    if mode == "default":
-        return None
-    from repro.scheduler import VcsConfig
-    try:
-        return VcsConfig(use_trail=(mode == "trail"))
-    except TypeError:  # revision predates the use_trail knob
-        return None
-
-
-def make_scheduler(mode):
-    from repro.scheduler import VirtualClusterScheduler
-    config = vcs_config_for(mode)
-    return VirtualClusterScheduler() if config is None else VirtualClusterScheduler(config)
-
-
-def schedule_all(blocks, machine, mode):
+def schedule_all(blocks, machine):
     # All proposed-scheduler results for one machine, in block order.
     # Shards across the parallel batch runner when the tree has one
     # (REPRO_JOBS workers); old revisions fall back to the serial loop.
     try:
         from repro.runner import BatchScheduler, ScheduleJob, run_schedule_job, schedule_job_id
     except ImportError:
-        return [make_scheduler(mode).schedule(block, machine) for block in blocks]
+        from repro.scheduler import VirtualClusterScheduler
+        return [VirtualClusterScheduler().schedule(block, machine) for block in blocks]
     jobs = [
         ScheduleJob(
             job_id=schedule_job_id("vcs", "bench", machine.name, index, block.name),
             scheduler="vcs",
             block=block,
             machine=machine,
-            vcs_config=vcs_config_for(mode),
             check_schedule=False,
         )
         for index, block in enumerate(blocks)
@@ -153,7 +134,7 @@ def main(mode, n_synth, out_path):
         stats_total = {}
         awct_total = 0.0
         t0 = time.perf_counter()
-        for block, result in zip(blocks, schedule_all(blocks, machine, mode)):
+        for block, result in zip(blocks, schedule_all(blocks, machine)):
             runs += 1
             work += result.work
             awct_total += result.awct if result.ok else 0.0
@@ -641,8 +622,7 @@ def deduction_counters(report: dict) -> dict:
     """Aggregate the deduction-layer counters of one driver report.
 
     Sums the per-machine ``stats`` and splits them into the per-rule-class
-    ``dp_work`` breakdown, the probe-cache hit rate and the propagation-
-    queue coalesce rate.  Reported in the summary (and compared by the
+    ``dp_work`` breakdown and the probing counters.  Reported in the summary (and compared by the
     perf gate as non-gating warnings); the gated totals stay ``dp_work``
     and the schedule digests."""
     totals: dict = {}
@@ -655,33 +635,15 @@ def deduction_counters(report: dict) -> dict:
         for key, value in sorted(totals.items())
         if key.startswith(prefix)
     }
-    hits = totals.get("probe_cache_hits", 0)
-    misses = totals.get("probe_cache_misses", 0)
-    pushed = totals.get("queue_pushed", 0)
-    coalesced = totals.get("queue_coalesced", 0)
     return {
         "dp_work_by_rule": by_rule,
         "probing": {
             "probes": totals.get("probes", 0),
             "rollbacks": totals.get("rollbacks", 0),
             "redos": totals.get("redos", 0),
-            # Zero at the default configuration: both knobs are opt-in.
-            # Recorded anyway so the gate can assert the block's presence
-            # and an opt-in bench run shows how much the knobs skip.
-            "candidates_pruned": totals.get("candidates_pruned", 0),
+            # Zero at the default configuration: the early cut is opt-in.
+            # Recorded anyway so an opt-in bench run shows how much it skips.
             "early_cut_skips": totals.get("early_cut_skips", 0),
-        },
-        "probe_cache": {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / (hits + misses) if hits + misses else None,
-        },
-        "queue": {
-            "pushed": pushed,
-            "coalesced": coalesced,
-            "coalesce_rate": (
-                coalesced / (pushed + coalesced) if pushed + coalesced else None
-            ),
         },
     }
 
@@ -706,7 +668,7 @@ def fix_cycles_wall_share(stage_timings: dict) -> float | None:
 
 
 def profile_vcs_leg(n_synth: int, top_n: int, out_path: str) -> None:
-    """cProfile the trail-mode vcs leg in-process and write the top-N
+    """cProfile the vcs leg in-process and write the top-N
     functions (by cumulative and by internal time) as a text artifact.
 
     Runs a dedicated serial pass over the bench workload — the gated
@@ -717,12 +679,12 @@ def profile_vcs_leg(n_synth: int, top_n: int, out_path: str) -> None:
     import pstats
 
     from repro.machine import paper_configurations
-    from repro.scheduler import VcsConfig, VirtualClusterScheduler
+    from repro.scheduler import VirtualClusterScheduler
 
     namespace: dict = {"__name__": "bench_driver"}
     exec(compile(DRIVER, "<driver>", "exec"), namespace)
     blocks = namespace["build_workload"](n_synth)
-    scheduler = VirtualClusterScheduler(VcsConfig(use_trail=True))
+    scheduler = VirtualClusterScheduler()
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -734,11 +696,11 @@ def profile_vcs_leg(n_synth: int, top_n: int, out_path: str) -> None:
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     for sort in ("cumulative", "tottime"):
-        buffer.write(f"== vcs trail leg, top {top_n} by {sort} ==\n")
+        buffer.write(f"== vcs leg, top {top_n} by {sort} ==\n")
         stats.sort_stats(sort).print_stats(top_n)
         buffer.write("\n")
     Path(out_path).write_text(buffer.getvalue())
-    print(f"[bench] wrote {out_path} (cProfile top {top_n}, vcs trail leg)")
+    print(f"[bench] wrote {out_path} (cProfile top {top_n}, vcs leg)")
 
 
 def parallel_section(jobs: int, serial_wall: float, parallel_wall: float, identical: bool) -> dict:
@@ -806,7 +768,7 @@ def main() -> int:
         type=int,
         default=0,
         metavar="N",
-        help="also cProfile the trail-mode vcs leg and write the top-N "
+        help="also cProfile the vcs leg and write the top-N "
         "functions to --cprofile-output (0 disables; nightly artifact)",
     )
     parser.add_argument(
@@ -832,12 +794,10 @@ def main() -> int:
         jobs = resolve_jobs(args.jobs)
 
     src = str(REPO_ROOT / "src")
-    print(f"[bench] current tree, trail mode, serial ({args.blocks} synthetic blocks)...")
+    print(f"[bench] current tree, serial ({args.blocks} synthetic blocks)...")
     trail = run_driver(src, "trail", args.blocks, jobs=1)
-    print(f"[bench] current tree, trail mode, parallel ({jobs} workers)...")
+    print(f"[bench] current tree, parallel ({jobs} workers)...")
     parallel = run_driver(src, "trail", args.blocks, jobs=jobs)
-    print("[bench] current tree, copy mode...")
-    copy = run_driver(src, "copy", args.blocks, jobs=1)
     print("[bench] current tree, backend sweep (registry)...")
     backends = measure_backends(args.blocks)
     print("[bench] current tree, scenario-matrix sample (ring/p2p x workload families)...")
@@ -855,7 +815,7 @@ def main() -> int:
     )
     service = measure_service(max(jobs, 2))
     if args.cprofile > 0:
-        print(f"[bench] current tree, cProfile of the trail-mode vcs leg (top {args.cprofile})...")
+        print(f"[bench] current tree, cProfile of the vcs leg (top {args.cprofile})...")
         profile_vcs_leg(args.blocks, args.cprofile, args.cprofile_output)
 
     baseline = None
@@ -877,7 +837,7 @@ def main() -> int:
     def total_wall(report):
         return sum(m["wall_time_s"] for m in report["machines"])
 
-    trail_wall, copy_wall = total_wall(trail), total_wall(copy)
+    trail_wall = total_wall(trail)
     parallel_wall = total_wall(parallel)
     parallel_identical = all(
         s["fingerprints"] == p["fingerprints"]
@@ -891,12 +851,6 @@ def main() -> int:
             "machines": [m["machine"] for m in trail["machines"]],
         },
         "trail": digest_fingerprints(trail),
-        "copy": digest_fingerprints(copy),
-        "trail_vs_copy_speedup": copy_wall / trail_wall if trail_wall else None,
-        "schedules_identical_trail_vs_copy": all(
-            t["fingerprints"] == c["fingerprints"]
-            for t, c in zip(trail["machines"], copy["machines"])
-        ),
         "parallel": parallel_section(jobs, trail_wall, parallel_wall, parallel_identical),
         "runner": runner,
         "service": service,
@@ -924,9 +878,7 @@ def main() -> int:
     Path(args.output).write_text(json.dumps(summary, indent=2) + "\n")
 
     print(f"\n[bench] wrote {args.output}")
-    print(f"[bench] trail {trail_wall:.2f}s | copy {copy_wall:.2f}s | "
-          f"trail-vs-copy {summary['trail_vs_copy_speedup']:.2f}x | "
-          f"identical={summary['schedules_identical_trail_vs_copy']}")
+    print(f"[bench] vcs {trail_wall:.2f}s")
     cold_speedup = summary["parallel"]["throughput_speedup_vs_serial"]
     cold_note = (
         f"throughput {cold_speedup:.2f}x"
@@ -967,25 +919,11 @@ def main() -> int:
         print(f"[bench] baseline({args.baseline_rev}) {total_wall(baseline):.2f}s | "
               f"speedup {summary['baseline_vs_current_speedup']:.2f}x | "
               f"byte-identical={baseline_identical}")
-    copies_avoided = sum(
-        m["stats"].get("copies_avoided", 0) for m in trail["machines"]
-    )
-    print(f"[bench] copies avoided by the trail: {copies_avoided}")
     deduction = summary["deduction"]
-    cache, queue = deduction["probe_cache"], deduction["queue"]
-    hit_rate = cache["hit_rate"]
-    coalesce_rate = queue["coalesce_rate"]
-    print(
-        f"[bench] probe cache: {cache['hits']} hits / {cache['misses']} misses"
-        + (f" ({hit_rate:.1%})" if hit_rate is not None else "")
-        + f" | queue: {queue['pushed']} pushed, {queue['coalesced']} coalesced"
-        + (f" ({coalesce_rate:.1%})" if coalesce_rate is not None else "")
-    )
     probing = deduction["probing"]
     print(
         f"[bench] probing: {probing['probes']} probes, {probing['rollbacks']} rollbacks, "
-        f"{probing['redos']} redos | pruned {probing['candidates_pruned']} candidates, "
-        f"early-cut {probing['early_cut_skips']} probes"
+        f"{probing['redos']} redos | early-cut {probing['early_cut_skips']} probes"
     )
     share = deduction["fix_cycles_wall_share"]
     if share is not None:

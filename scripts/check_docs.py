@@ -96,10 +96,6 @@ KNOB_NOTES = {
         "identical until exhaustion (then a schedule-less result)",
         "turn off the CARS fallback to observe raw budget failures",
     ),
-    "use_trail": (
-        "byte-identical by construction (gated in CI)",
-        "force copy-per-probe mode: the determinism oracle and perf baseline",
-    ),
     "stage_order": (
         "behaviour-changing",
         "reorder the decision stages (names from ``available_stages()``)",
@@ -107,18 +103,6 @@ KNOB_NOTES = {
     "cycle_hints": (
         "behaviour-changing",
         "bias stage-2 cycle windows (the hybrid backend seeds these from CARS)",
-    ),
-    "queue_mode": (
-        "same fixed point, different dp_work — opt-in",
-        "tiered propagation: drain cheap bound events first, coalesce duplicates",
-    ),
-    "probe_cache": (
-        "byte-identical incl. work accounting (default on, trail mode only)",
-        "disable probe memoization to debug replay accounting",
-    ),
-    "prune_candidates": (
-        "same schedule, fewer probes charged — opt-in dp_work change",
-        "skip cycle candidates that provably contradict on saturated resources",
     ),
     "probe_early_cut": (
         "same winner, fewer probes — opt-in dp_work change",

@@ -21,8 +21,7 @@ Usage::
     repro suite --experiment all --output suite.json
     repro suite --benchmarks 130.li g721dec --jobs auto
 
-(``scripts/run_suite.py`` remains as a thin wrapper for environments
-without an installed entry point.)
+Without an installed entry point, run it as ``python -m repro.cli suite``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The deduction process (DP) is the engine at the heart of the proposed
 technique.  Every tentative decision — choosing or discarding a combination,
 pinning an operation to a cycle, fusing virtual clusters or marking them
 incompatible — is submitted to the DP, which derives all *mandatory*
-consequences of the decision on a copy of the scheduling state, or reports a
+consequences of the decision on the scheduling state, or reports a
 contradiction proving that no valid schedule can follow from it.
 
 The package is organised as:
@@ -14,8 +14,6 @@ The package is organised as:
 * :mod:`repro.deduction.state` — the scheduling state (bounds, combination
   lists, connected components, virtual cluster graph, communications);
 * :mod:`repro.deduction.rules` — the state-updating and deduction rules;
-* :mod:`repro.deduction.queue` — the propagation worklists (the paper's
-  flat FIFO and the opt-in tiered, deduplicating discipline);
 * :mod:`repro.deduction.engine` — the worklist engine that applies a
   decision and runs the rules to a fixed point.
 """
@@ -40,11 +38,6 @@ from repro.deduction.consequence import (
     MarkVCsIncompatible,
     SetExitDeadlines,
     PinVCs,
-)
-from repro.deduction.queue import (
-    QUEUE_MODES,
-    FifoPropagationQueue,
-    TieredPropagationQueue,
 )
 from repro.deduction.state import SchedulingState
 from repro.deduction.engine import DeductionProcess, DeductionResult, WorkBudget, BudgetExhausted
@@ -74,7 +67,4 @@ __all__ = [
     "DeductionResult",
     "WorkBudget",
     "BudgetExhausted",
-    "QUEUE_MODES",
-    "FifoPropagationQueue",
-    "TieredPropagationQueue",
 ]

@@ -33,7 +33,6 @@ from repro.deduction.consequence import (
     ScheduleInCycle,
     SetExitDeadlines,
 )
-from repro.deduction.queue import QUEUE_MODES, make_queue, new_queue_stats
 from repro.deduction.rules import default_rules
 from repro.deduction.rules.base import Rule
 from repro.deduction.state import SchedulingState
@@ -47,7 +46,7 @@ def budget_exhausted_message(limit: int, spent: int) -> str:
     """The one exhaustion message of every raise path.
 
     :meth:`WorkBudget.charge`, :meth:`WorkBudget.charge_block` and the
-    inlined fast loop of :meth:`DeductionProcess.apply` all raise through
+    inlined loop of :meth:`DeductionProcess.apply` all raise through
     this helper, so the message (and the ``spent`` value it reports) cannot
     drift between the unit-by-unit and block accounting paths."""
     return f"work budget of {limit} units exhausted ({spent} spent)"
@@ -61,8 +60,7 @@ class WorkBudget:
     ``notify_at`` — the tier-transition hook of
     :class:`repro.scheduler.policy.PolicyTracker`.  The observer is
     expected to advance (or clear) ``notify_at`` itself; with
-    ``notify_at`` unset the charge paths are exactly the bare counters,
-    and the deduction engine keeps its inlined fast loop."""
+    ``notify_at`` unset the charge paths are exactly the bare counters."""
 
     limit: Optional[int] = None
     spent: int = 0
@@ -80,9 +78,8 @@ class WorkBudget:
 
     def charge_block(self, amount: int) -> None:
         """Charge *amount* units with the same exhaustion semantics as
-        *amount* successive one-unit :meth:`charge` calls (the probe cache
-        replays a memoized deduction's work as one block, and the recorded
-        ``spent`` must match the unit-by-unit accounting exactly)."""
+        *amount* successive one-unit :meth:`charge` calls (the policy
+        refinement loop charges each finished round's work as one block)."""
         if self.limit is None or self.spent + amount <= self.limit:
             self.spent += amount
             if self.notify_at is not None and self.spent >= self.notify_at:
@@ -125,13 +122,11 @@ class DeductionProcess:
     """Applies decisions to scheduling states using a rule set.
 
     Rule dispatch is indexed by change type: instead of showing every change
-    event to every rule (a linear ``rule.applies`` scan on the hottest loop
-    of the engine), a dispatch table keyed on ``type(change)`` is built
+    event to every rule, a dispatch table keyed on ``type(change)`` is built
     lazily from the rules' declared triggers, so each event only visits the
     rules that can fire on it.  The table is filled through
     ``rule.applies``, which preserves exact ``isinstance`` semantics and the
-    rule order of the linear scan.  ``indexed_dispatch=False`` restores the
-    linear scan (used by the perf harness to measure the difference).
+    rules' registration order.
 
     The rule set is managed through explicit registration hooks
     (:meth:`add_rule` / :meth:`remove_rule` / :meth:`set_rules`, or
@@ -140,30 +135,20 @@ class DeductionProcess:
     :attr:`rules` is therefore a tuple — mutating a rule list behind the
     engine's back is impossible rather than silently absorbed.
 
-    ``queue_mode`` selects the propagation worklist (see
-    :mod:`repro.deduction.queue`): ``"fifo"`` is the paper's flat worklist
-    and the byte-identity oracle; ``"tiered"`` drains cheap bound events
-    first and coalesces identical pending changes, reaching the same fixed
-    point with fewer rule firings (``dp_work`` differs, so it is opt-in).
+    The worklist is the paper's flat first-in-first-out queue (a bare
+    deque), so the rule-firing order — and with it ``dp_work`` — is fixed
+    by the decision alone.
     """
 
     def __init__(
         self,
         rules: Optional[Sequence[Rule]] = None,
         max_iterations: int = 200_000,
-        indexed_dispatch: bool = True,
-        queue_mode: str = "fifo",
     ) -> None:
-        if queue_mode not in QUEUE_MODES:
-            raise ValueError(
-                f"unknown queue mode {queue_mode!r}; known modes: {', '.join(QUEUE_MODES)}"
-            )
         self._rules: Tuple[Rule, ...] = (
             tuple(rules) if rules is not None else tuple(default_rules())
         )
         self.max_iterations = max_iterations
-        self.indexed_dispatch = indexed_dispatch
-        self.queue_mode = queue_mode
         self._dispatch: Dict[Type[Change], List[Tuple[Rule, str]]] = {}
         #: Total number of DP invocations performed through this instance.
         self.invocations = 0
@@ -172,8 +157,6 @@ class DeductionProcess:
         #: defaultdict so the hottest loop increments without a ``.get``;
         #: entries only appear for rules that actually fired.
         self.work_by_rule: Dict[str, int] = defaultdict(int)
-        #: Worklist counters (pushes/coalesces; tiered mode only).
-        self.queue_stats: Dict[str, int] = new_queue_stats()
 
     # ------------------------------------------------------------------ #
     # rule registration
@@ -232,8 +215,9 @@ class DeductionProcess:
     ) -> DeductionResult:
         """Evaluate *decision* on *state*.
 
-        The state is copied unless ``in_place`` is requested (used when the
-        caller has already decided to commit the decision).  The returned
+        The state is copied unless ``in_place`` is requested (the scheduler
+        always probes in place and rolls back through the state's trail;
+        the copying form is the reference oracle of :meth:`check`).  The returned
         result carries the new state, the full list of consequences and the
         amount of work performed; a contradiction is reported in the result
         rather than raised.  :class:`BudgetExhausted` propagates to the
@@ -242,121 +226,57 @@ class DeductionProcess:
         """
         self.invocations += 1
         working = state if in_place else state.copy()
+        if budget is None:
+            budget = WorkBudget()
+        queue: Deque[Change] = deque()
         consequences: List[Change] = []
         work = 0
+        # The hottest loop in the code base: every per-event operation is
+        # bound to a local, since each saved attribute walk or method call
+        # is paid a million times per scheduling run.  The per-firing
+        # WorkBudget.charge is inlined as local arithmetic with its exact
+        # semantics (increment first, then compare, leaving ``spent`` one
+        # past the limit on exhaustion, then notify the observer at the
+        # exact ``notify_at`` crossing); the finally block keeps the budget
+        # object coherent on every exit path.
         work_by_rule = self.work_by_rule
-        dispatch = self._dispatch
-        indexed = self.indexed_dispatch
-        charge = budget.charge if budget is not None else None
+        dispatch_get = self._dispatch.get
+        rules_for = self._rules_for
+        popleft = queue.popleft
+        queue_extend = queue.extend
+        cons_extend = consequences.extend
+        max_iterations = self.max_iterations
+        iterations = 0
+        b_limit = budget.limit
+        b_spent = budget.spent
+        notify_at = budget.notify_at
         try:
-            fifo = self.queue_mode == "fifo"
-            if fifo and indexed and (budget is None or budget.notify_at is None):
-                # The default worklist stays a bare deque, and the default
-                # dispatch loop binds every per-event operation to a local:
-                # this is the hottest loop in the code base and each saved
-                # attribute walk or method call is paid a million times per
-                # scheduling run.  A budget carrying a tier-transition mark
-                # (``notify_at``) instead takes the generic loop below,
-                # whose per-firing ``charge()`` fires the policy observer.
-                queue: Deque[Change] = deque(self._expand(working, decision))
-                consequences.extend(queue)
-                popleft = queue.popleft
-                queue_extend = queue.extend
-                cons_extend = consequences.extend
-                dispatch_get = dispatch.get
-                max_iterations = self.max_iterations
-                iterations = 0
-                if budget is None:
-                    while queue:
-                        iterations += 1
-                        if iterations > max_iterations:
-                            raise Contradiction(
-                                "deduction did not reach a fixed point (possible rule loop)"
-                            )
-                        change = popleft()
-                        pairs = dispatch_get(change.__class__)
-                        if pairs is None:
-                            pairs = self._rules_for(change)
-                        for rule, name in pairs:
-                            work += 1
-                            work_by_rule[name] += 1
-                            produced = rule.fire(working, change)
-                            if produced:
-                                queue_extend(produced)
-                                cons_extend(produced)
-                    return DeductionResult(
-                        state=working, consequences=consequences, work=work
-                    )
-                # Budgeted variant: the per-firing charge() call is inlined
-                # as local arithmetic with the exact semantics of
-                # WorkBudget.charge (increment first, then compare, leaving
-                # ``spent`` one past the limit on exhaustion); the finally
-                # block keeps the budget object coherent on every exit path.
-                b_limit = budget.limit
-                b_spent = budget.spent
-                try:
-                    while queue:
-                        iterations += 1
-                        if iterations > max_iterations:
-                            raise Contradiction(
-                                "deduction did not reach a fixed point (possible rule loop)"
-                            )
-                        change = popleft()
-                        pairs = dispatch_get(change.__class__)
-                        if pairs is None:
-                            pairs = self._rules_for(change)
-                        for rule, name in pairs:
-                            work += 1
-                            work_by_rule[name] += 1
-                            b_spent += 1
-                            if b_limit is not None and b_spent > b_limit:
-                                raise BudgetExhausted(
-                                    budget_exhausted_message(b_limit, b_spent)
-                                )
-                            produced = rule.fire(working, change)
-                            if produced:
-                                queue_extend(produced)
-                                cons_extend(produced)
-                finally:
-                    budget.spent = b_spent
-                return DeductionResult(
-                    state=working, consequences=consequences, work=work
-                )
-            if fifo:
-                queue = deque(self._expand(working, decision))
-                consequences.extend(queue)
-            else:
-                queue = make_queue(self.queue_mode, self.queue_stats)
-                initial = self._expand(working, decision)
-                queue.push_many(initial)
-                consequences.extend(initial)
-            iterations = 0
+            queue_extend(self._expand(working, decision))
+            cons_extend(queue)
             while queue:
                 iterations += 1
-                if iterations > self.max_iterations:
+                if iterations > max_iterations:
                     raise Contradiction(
                         "deduction did not reach a fixed point (possible rule loop)"
                     )
-                change = queue.popleft() if fifo else queue.pop()
-                if indexed:
-                    cls = change.__class__
-                    pairs = dispatch.get(cls)
-                    if pairs is None:
-                        pairs = self._rules_for(change)
-                else:
-                    pairs = [(r, r.__class__.__name__) for r in self._rules if r.applies(change)]
+                change = popleft()
+                pairs = dispatch_get(change.__class__)
+                if pairs is None:
+                    pairs = rules_for(change)
                 for rule, name in pairs:
                     work += 1
                     work_by_rule[name] += 1
-                    if charge is not None:
-                        charge()
+                    b_spent += 1
+                    if b_limit is not None and b_spent > b_limit:
+                        raise BudgetExhausted(budget_exhausted_message(b_limit, b_spent))
+                    if notify_at is not None and b_spent >= notify_at:
+                        budget.spent = b_spent
+                        budget._notify()
+                        notify_at = budget.notify_at
                     produced = rule.fire(working, change)
                     if produced:
-                        if fifo:
-                            queue.extend(produced)
-                        else:
-                            queue.push_many(produced)
-                        consequences.extend(produced)
+                        queue_extend(produced)
+                        cons_extend(produced)
         except Contradiction as exc:
             return DeductionResult(
                 state=working,
@@ -364,6 +284,8 @@ class DeductionProcess:
                 contradiction=exc.reason,
                 work=work,
             )
+        finally:
+            budget.spent = b_spent
         return DeductionResult(state=working, consequences=consequences, work=work)
 
     def check(

@@ -23,9 +23,10 @@ decision can be probed **in place** and undone exactly::
     try_some_decision(state)   # arbitrary mutators / deduction rules
     state.rollback(mark)       # state is observably identical to before
 
-This replaces the old copy-per-probe scheme (one full dict/set/union-find/
-VCG copy per candidate, per stage, per AWCT target) with the trail-based
-apply-then-undo of SAT/CP solvers.  The state additionally maintains
+This is the scheduler's only way to probe a decision: the trail-based
+apply-then-undo of SAT/CP solvers, with no state copy per candidate.
+:meth:`SchedulingState.copy` remains as the reference oracle the tests
+compare in-place probing against.  The state additionally maintains
 dirty-tracked caches for the scheduler's candidate selection: the set of
 still-undecided scheduling-graph pairs, the set of unfixed operations, and
 the operations fixed at each cycle — all kept coherent by the same trail.
@@ -244,15 +245,6 @@ class SchedulingState:
         self._invalidate_id_caches()
         return log
 
-    def state_token(self) -> Tuple[int, int]:
-        """An epoch identifying this state's current content.
-
-        Two equal tokens from the same state instance guarantee the state
-        is byte-identical (see :meth:`repro.trail.Trail.token`); rolling
-        back to a mark restores the token the state had there.  The probe
-        memoization layer keys cached deductions on it."""
-        return self.trail.token()
-
     def redo(self, log: List[tuple]) -> None:
         """Re-apply a redo log captured at the same state this one is in."""
         self.trail.redo(log)
@@ -466,7 +458,7 @@ class SchedulingState:
         differs between trail rollbacks and fresh copies): callers that pick
         one element must apply a total-order tie-break, as
         ``candidates.lowest_slack_operation`` does with ``(slack, op_id)`` —
-        otherwise trail and copy probing could diverge."""
+        otherwise a rolled-back state and its copy could diverge."""
         comm_ops = self._comm_ops
         if communications:
             return [i for i in self._unfixed if i in comm_ops]

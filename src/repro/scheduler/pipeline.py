@@ -13,8 +13,10 @@ by a :class:`StagePipeline` whose order is a configuration value
 Every stage body is a verbatim move of the corresponding scheduler
 method: the default pipeline must reproduce the monolithic scheduler's
 schedules and deterministic work counts byte for byte (the CI
-perf-regression gate compares both).  Probing primitives — trail
-checkpoint/rollback/redo probing and the legacy copy-based study — live
+perf-regression gate compares both).  Every stage studies a candidate
+decision the same way: in place on the shared state —
+``checkpoint`` → :meth:`DeductionProcess.apply` → ``rollback_capture``,
+then ``redo`` of the winner's captured mutations.  Those primitives live
 in :class:`ProbeEngine`, shared by all stages, so stage code never
 touches the trail directly.
 
@@ -47,9 +49,7 @@ from repro.deduction.consequence import (
     ForbidCycle,
     FuseVCs,
     MarkVCsIncompatible,
-    PinVCs,
     ScheduleInCycle,
-    SetExitDeadlines,
 )
 from repro.deduction.engine import (
     BudgetExhausted,
@@ -62,7 +62,6 @@ from repro.scheduler import candidates as cand
 from repro.scheduler.correctness import validate_schedule
 from repro.scheduler.heuristics import state_score
 from repro.scheduler.schedule import Schedule, ScheduledComm
-from repro.sgraph.combination import pair_key
 from repro.vcluster.mapping import map_virtual_to_physical
 
 if TYPE_CHECKING:
@@ -99,17 +98,12 @@ EAGER_STAGE_ORDER: Tuple[str, ...] = (
 
 
 def new_probe_stats() -> Dict[str, int]:
-    """Fresh probe/copy counters (the ``ScheduleResult.stats`` payload)."""
+    """Fresh probe counters (the ``ScheduleResult.stats`` payload)."""
     return {
         "probes": 0,
-        "copies": 0,
         "rollbacks": 0,
         "redos": 0,
-        "copies_avoided": 0,
         "trail_entries_undone": 0,
-        "probe_cache_hits": 0,
-        "probe_cache_misses": 0,
-        "candidates_pruned": 0,
         "early_cut_skips": 0,
     }
 
@@ -120,9 +114,6 @@ class PipelineConfig(Protocol):
     Structurally matched by :class:`repro.scheduler.vcs.VcsConfig` (a
     Protocol avoids the circular import); read-only properties so frozen
     or mutable config objects both conform."""
-
-    @property
-    def use_trail(self) -> bool: ...
 
     @property
     def stage1_max_decisions(self) -> int: ...
@@ -137,163 +128,31 @@ class PipelineConfig(Protocol):
     def use_matching(self) -> bool: ...
 
     @property
-    def prune_candidates(self) -> bool: ...
-
-    @property
     def probe_early_cut(self) -> bool: ...
-
-
-def canonical_decision(decision: Decision) -> tuple:
-    """A normalized, hashable cache-key component for one decision.
-
-    Two decisions that provably run the same deduction share a key:
-    combination choices/discards are normalized to pair-key orientation —
-    ``SchedulingState.choose_combination``/``discard_combination``
-    themselves rewrite ``(u, v, d)`` to ``(v, u, -d)`` when the pair is
-    reversed, so both spellings mutate identically.  VC fusions and
-    incompatibilities keep their pair orientation (``VCsFused(u, v)``
-    change events expose the field order, so reversed requests are *not*
-    interchangeable).  The caller preserves sequence order: applying the
-    same decisions in a different order is a different deduction."""
-    if isinstance(decision, ScheduleInCycle):
-        return ("sic", decision.op_id, decision.cycle)
-    if isinstance(decision, ForbidCycle):
-        return ("forbid", decision.op_id, decision.cycle)
-    if isinstance(decision, (ChooseCombination, DiscardCombination)):
-        key = pair_key(decision.u, decision.v)
-        distance = decision.distance if key == (decision.u, decision.v) else -decision.distance
-        tag = "choose" if isinstance(decision, ChooseCombination) else "discard"
-        return (tag, key[0], key[1], distance)
-    if isinstance(decision, FuseVCs):
-        return ("fuse", decision.pairs)
-    if isinstance(decision, MarkVCsIncompatible):
-        return ("incompatible", decision.pairs)
-    if isinstance(decision, SetExitDeadlines):
-        # from_mapping already sorts the deadline items.
-        return ("deadlines", decision.deadlines)
-    if isinstance(decision, PinVCs):
-        return ("pins", decision.pins)
-    return (type(decision).__name__, decision)
-
-
-def probe_cache_key(state: SchedulingState, decisions: Sequence[Decision]) -> tuple:
-    """The shared probe-cache key: state epoch plus canonical decisions."""
-    return (
-        state.state_token(),
-        tuple(canonical_decision(decision) for decision in decisions),
-    )
-
-
-@dataclass
-class CachedDeduction:
-    """One memoized deduction outcome.
-
-    ``log`` is the redo log that replays the deduction's mutations byte for
-    byte (``None`` for contradictions, whose partial mutations are never
-    observed — every caller rolls back past them).  ``work`` is re-charged
-    to the work budget on replay with :meth:`WorkBudget.charge_block`, and
-    ``work_split`` (the per-rule-class share of ``work``) is added back to
-    the engine's ``work_by_rule``, so both the deterministic compile-effort
-    accounting and its reported breakdown are identical with and without
-    the cache."""
-
-    contradiction: Optional[str]
-    work: int
-    work_split: Dict[str, int]
-    consequences: Tuple[Change, ...]
-    log: Optional[List[tuple]]
-
-
-class ProbeCache:
-    """Memoized deductions keyed by ``(state token, decisions)``.
-
-    The token (:meth:`SchedulingState.state_token`) identifies the state's
-    exact content via its trail prefix, so invalidation is trail-aware by
-    construction: any mutation — or rollback past the keyed position
-    followed by a diverging mutation — changes the token and the entry can
-    simply never match again.  Entries bind redo logs to the one state
-    instance the cache was built for; the engine refuses other states.
-
-    The dominant repeat in practice is the minAWCT tightening loop of
-    :class:`~repro.scheduler.vcs.VirtualClusterScheduler`: exit deadlines
-    probed from the pristine state are re-applied verbatim when the
-    enumerator's first AWCT target equals the tightened bounds."""
-
-    def __init__(self, state: SchedulingState, max_entries: int = 4096) -> None:
-        self.state = state
-        self.max_entries = max_entries
-        self._entries: Dict[tuple, CachedDeduction] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> Optional[CachedDeduction]:
-        return self._entries.get(key)
-
-    def put(self, key: tuple, entry: CachedDeduction) -> None:
-        entries = self._entries
-        if len(entries) >= self.max_entries and key not in entries:
-            # Evict, but retain entries keyed at the incoming entry's state
-            # token: the cycle-pinning stage records every candidate of a
-            # probe round at one token and replays the round's winner from
-            # the cache, so those entries must survive a mid-round eviction
-            # (replay_memo treats a missing winner as a hard error).
-            token = key[0]
-            survivors = {k: v for k, v in entries.items() if k[0] == token}
-            entries.clear()
-            entries.update(survivors)
-        entries[key] = entry
 
 
 class ProbeEngine:
     """Probing primitives shared by every decision stage.
 
-    Wraps one candidate-evaluation strategy — in-place trail probing with
-    rollback/redo (``use_trail=True``) or copy-based study — behind a
-    uniform interface, keeps the probe counters, and enforces the
-    wall-clock deadline.  Both strategies follow the same decision
-    sequence and must produce byte-identical schedules.
+    A candidate decision is probed in place on the shared state: checkpoint,
+    apply through the deduction process, score, then roll back (capturing a
+    redo log when the candidate may win).  The engine keeps the probe
+    counters and enforces the wall-clock deadline.
     """
 
-    def __init__(self, config: PipelineConfig, stats: Optional[Dict[str, int]] = None) -> None:
-        self.config = config
+    def __init__(self, stats: Optional[Dict[str, int]] = None) -> None:
         self.stats = stats if stats is not None else new_probe_stats()
         self.deadline: Optional[float] = None
-        self._cache: Optional[ProbeCache] = None
-        #: A successful memoized probe awaiting its rollback capture:
-        #: ``(key, result, work_split, mark)`` — see :meth:`probe_memo`.
-        self._pending: Optional[Tuple[tuple, DeductionResult, Dict[str, int], int]] = None
         #: Optional :class:`~repro.scheduler.policy.PolicyTracker`: counts
         #: probes (and can raise on probe-budget exhaustion) via
         #: :meth:`PolicyTracker.note_probe`.
         self.tracker: Optional["PolicyTracker"] = None
-        #: When set (``finalize_partial`` policies in trail mode), a
+        #: When set (``finalize_partial`` policies), a
         #: :class:`BudgetExhausted` raised mid-deduction rolls the state
         #: back to the sequence's entry checkpoint before propagating, so
         #: the exhaustion handler sees a consistent best-so-far state
         #: instead of a half-applied decision.
         self.recover_on_exhaustion = False
-
-    def _note_probe(self) -> None:
-        if self.tracker is not None:
-            self.tracker.note_probe()
-
-    @property
-    def use_trail(self) -> bool:
-        return self.config.use_trail
-
-    def memoizes(self, state: SchedulingState) -> bool:
-        """Whether probes on *state* go through the memoization cache."""
-        cache = self._cache
-        return cache is not None and cache.state is state
-
-    def attach_cache(self, state: SchedulingState) -> None:
-        """Enable probe memoization for in-place deductions on *state*.
-
-        Only meaningful in trail mode on the scheduler's shared state: the
-        cached redo logs bind to that state instance, and replays require
-        the trail tokens to be comparable."""
-        self._cache = ProbeCache(state)
 
     def check_time(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
@@ -344,100 +203,6 @@ class ProbeEngine:
                 )
         return DeductionResult(state=state, consequences=consequences, work=work)
 
-    def apply_decisions(
-        self,
-        dp: DeductionProcess,
-        state: SchedulingState,
-        decisions: Sequence[Decision],
-        budget: Optional[WorkBudget],
-        memoize: bool = True,
-    ) -> DeductionResult:
-        """In-place application with probe memoization.
-
-        Identical to :meth:`apply_sequence` when no cache is attached (or
-        *state* is not the cache's state).  With a cache, a completed
-        deduction of the same decisions at the same state token is
-        replayed: the memoized work is charged to the budget block-wise
-        (same exhaustion semantics), successful outcomes re-apply their
-        recorded mutations through the trail's redo, and contradictions
-        return without mutating (their partial mutations are unobservable
-        — every caller rolls back past them).  Deductions aborted by
-        budget exhaustion are never memoized.
-
-        ``memoize=False`` looks up but never stores: callers whose keys
-        cannot recur (the AWCT driver applies each enumerated target once)
-        skip the capture-and-redo cost of recording a replay log."""
-        cache = self._cache
-        if cache is None or cache.state is not state:
-            return self.apply_sequence(dp, state, decisions, budget)
-        key = probe_cache_key(state, decisions)
-        entry = cache.get(key)
-        if entry is not None:
-            self.stats["probe_cache_hits"] += 1
-            if budget is not None and entry.work:
-                budget.charge_block(entry.work)
-            work_by_rule = dp.work_by_rule
-            for name, count in entry.work_split.items():
-                work_by_rule[name] = work_by_rule.get(name, 0) + count
-            if entry.log is not None:
-                state.redo(entry.log)
-            return DeductionResult(
-                state=state,
-                consequences=list(entry.consequences),
-                contradiction=entry.contradiction,
-                work=entry.work,
-            )
-        self.stats["probe_cache_misses"] += 1
-        if not memoize:
-            return self.apply_sequence(dp, state, decisions, budget)
-        mark = state.checkpoint()
-        split_before = dict(dp.work_by_rule)
-        result = self.apply_sequence(dp, state, decisions, budget)
-        work_split = {
-            name: count - split_before.get(name, 0)
-            for name, count in dp.work_by_rule.items()
-            if count != split_before.get(name, 0)
-        }
-        if result.ok:
-            # Capture the span and re-apply it immediately: the state ends
-            # byte-identical, and the captured log becomes the replay.
-            log = state.rollback_capture(mark)
-            state.redo(log)
-            cache.put(
-                key,
-                CachedDeduction(
-                    contradiction=None,
-                    work=result.work,
-                    work_split=work_split,
-                    consequences=tuple(result.consequences),
-                    log=log,
-                ),
-            )
-        else:
-            cache.put(
-                key,
-                CachedDeduction(
-                    contradiction=result.contradiction,
-                    work=result.work,
-                    work_split=work_split,
-                    consequences=tuple(result.consequences),
-                    log=None,
-                ),
-            )
-        return result
-
-    def study(
-        self,
-        dp: DeductionProcess,
-        state: SchedulingState,
-        decisions: Sequence[Decision],
-        budget: WorkBudget,
-    ) -> DeductionResult:
-        """Copy mode: evaluate a sequence of decisions on a copy of *state*."""
-        self._note_probe()
-        self.stats["copies"] += 1
-        return self.apply_sequence(dp, state.copy(), decisions, budget)
-
     def probe(
         self,
         dp: DeductionProcess,
@@ -445,133 +210,15 @@ class ProbeEngine:
         decisions: Sequence[Decision],
         budget: WorkBudget,
     ) -> Tuple[int, DeductionResult]:
-        """Trail mode: apply *decisions* in place on top of a checkpoint.
+        """Apply *decisions* in place on top of a checkpoint.
 
         The caller decides whether to keep the mutations or roll back to
         the returned mark."""
-        self._note_probe()
+        if self.tracker is not None:
+            self.tracker.note_probe()
         mark = state.checkpoint()
         self.stats["probes"] += 1
-        self.stats["copies_avoided"] += 1
         return mark, self.apply_sequence(dp, state, decisions, budget)
-
-    def probe_memo(
-        self,
-        dp: DeductionProcess,
-        state: SchedulingState,
-        decisions: Sequence[Decision],
-        budget: WorkBudget,
-    ) -> Tuple[int, DeductionResult]:
-        """Trail probe with write-through memoization.
-
-        Requires :meth:`memoizes` to hold for *state*.  A completed
-        deduction of the same canonical decisions at the same state token
-        is replayed instead of re-run: its work is charged to the budget
-        block-wise (same exhaustion semantics as the live unit charges of
-        a deterministic re-deduction) and its per-rule split re-added, so
-        the compile-effort accounting is identical either way; successful
-        outcomes re-apply their recorded mutations through the trail's
-        redo.  On a miss the decisions run live: a success is held pending
-        for the matching :meth:`rollback_memo` to capture (the redo log
-        only exists once the span is rolled back), while a contradiction
-        is stored immediately — its partial mutations are rolled back by
-        the caller and never observed, so no log is needed."""
-        cache = self._cache
-        assert cache is not None and cache.state is state
-        self._note_probe()
-        self._pending = None
-        key = probe_cache_key(state, decisions)
-        mark = state.checkpoint()
-        entry = cache.get(key)
-        if entry is not None:
-            self.stats["probe_cache_hits"] += 1
-            if entry.work:
-                budget.charge_block(entry.work)
-            work_by_rule = dp.work_by_rule
-            for name, count in entry.work_split.items():
-                work_by_rule[name] = work_by_rule.get(name, 0) + count
-            if entry.log is not None:
-                state.redo(entry.log)
-            return mark, DeductionResult(
-                state=state,
-                consequences=list(entry.consequences),
-                contradiction=entry.contradiction,
-                work=entry.work,
-            )
-        self.stats["probe_cache_misses"] += 1
-        self.stats["probes"] += 1
-        self.stats["copies_avoided"] += 1
-        split_before = dict(dp.work_by_rule)
-        result = self.apply_sequence(dp, state, decisions, budget)
-        work_split = {
-            name: count - split_before.get(name, 0)
-            for name, count in dp.work_by_rule.items()
-            if count != split_before.get(name, 0)
-        }
-        if result.ok:
-            self._pending = (key, result, work_split, mark)
-        else:
-            cache.put(
-                key,
-                CachedDeduction(
-                    contradiction=result.contradiction,
-                    work=result.work,
-                    work_split=work_split,
-                    consequences=tuple(result.consequences),
-                    log=None,
-                ),
-            )
-        return mark, result
-
-    def rollback_memo(self, state: SchedulingState, mark: int) -> None:
-        """Roll a memoized probe back to *mark*.
-
-        When the probe was a successful cache miss (held pending by
-        :meth:`probe_memo`), the rollback captures the span's redo log and
-        stores the completed entry — the state is back at the keyed token,
-        so the log replays exactly there.  Hits and contradictions roll
-        back plainly (their entries already exist or need no log)."""
-        pending = self._pending
-        if pending is not None and pending[3] == mark:
-            self._pending = None
-            key, result, work_split, _ = pending
-            log = self.rollback_capture(state, mark)
-            cache = self._cache
-            assert cache is not None
-            cache.put(
-                key,
-                CachedDeduction(
-                    contradiction=None,
-                    work=result.work,
-                    work_split=work_split,
-                    consequences=tuple(result.consequences),
-                    log=log,
-                ),
-            )
-            return
-        self.rollback(state, mark)
-
-    def replay_memo(self, state: SchedulingState, decisions: Sequence[Decision]) -> None:
-        """Keep a probe-round winner by replaying its memoized redo log.
-
-        No budget charge and no work-split re-add: the winner's work was
-        charged when it was probed, exactly like the capture-based keep
-        path (:meth:`redo`).  The entry is guaranteed present — every keep
-        follows a probe of the same decisions at the same token, and cache
-        eviction retains the current token's entries — so a miss means the
-        keep would silently re-deduce and double-charge; raise loudly
-        instead."""
-        cache = self._cache
-        assert cache is not None and cache.state is state
-        entry = cache.get(probe_cache_key(state, decisions))
-        if entry is None or entry.log is None:
-            raise RuntimeError(
-                "probe cache lost the winning candidate's entry; a memoized "
-                "keep would re-run the deduction and skew the work accounting"
-            )
-        self.stats["probe_cache_hits"] += 1
-        self.stats["redos"] += 1
-        state.redo(entry.log)
 
     def rollback(self, state: SchedulingState, mark: int) -> None:
         self.stats["rollbacks"] += 1
@@ -596,18 +243,14 @@ class ProbeEngine:
         state: SchedulingState,
         decisions: Sequence[Decision],
         budget: WorkBudget,
-    ) -> Optional[SchedulingState]:
-        """Attempt *decisions*; on success return the resulting current
-        state (mutated in place in trail mode, a studied copy otherwise),
-        on contradiction return None with *state* unchanged."""
-        if self.use_trail:
-            mark, result = self.probe(dp, state, decisions, budget)
-            if result.ok:
-                return state
-            self.rollback(state, mark)
-            return None
-        study = self.study(dp, state, decisions, budget)
-        return study.state if study.ok else None
+    ) -> bool:
+        """Attempt *decisions*: on success keep them on *state* and return
+        True; on contradiction roll *state* back and return False."""
+        mark, result = self.probe(dp, state, decisions, budget)
+        if result.ok:
+            return True
+        self.rollback(state, mark)
+        return False
 
 
 @dataclass
@@ -679,53 +322,22 @@ class CombinationsStage:
                 # mandatory decisions, not exploring.
                 return state
             decisions_made += 1
-
-            if config.use_trail:
-                outcome = self._decide_pair_in_place(ctx, state, u, v)
-                if outcome is None:
-                    return None
-                continue
-
-            viable: List[Tuple[Tuple, int, SchedulingState]] = []
-            for distance in list(state.remaining_combinations(u, v)):
-                study = engine.study(
-                    ctx.dp, state, [ChooseCombination(u, v, distance)], ctx.budget
-                )
-                if study.ok:
-                    viable.append((state_score(study.state), distance, study.state))
-                else:
-                    # The deduction process proved this combination leads to
-                    # no valid schedule: discarding it is mandatory.
-                    committed = engine.study(
-                        ctx.dp, state, [DiscardCombination(u, v, distance)], ctx.budget
-                    )
-                    if not committed.ok:
-                        return None
-                    state = committed.state
-
-            if viable:
-                viable.sort(key=lambda item: (item[0], item[1]))
-                state = viable[0][2]
-            elif not state.is_pair_decided(u, v):
-                # The pair can neither be chosen nor discarded: no schedule
-                # exists for this AWCT target.
+            if not self._decide_pair(ctx, state, u, v):
                 return None
         return state
 
     @staticmethod
-    def _decide_pair_in_place(
-        ctx: StageContext, state: SchedulingState, u: int, v: int
-    ) -> Optional[SchedulingState]:
-        """Trail-mode body of one stage-1 iteration.
+    def _decide_pair(ctx: StageContext, state: SchedulingState, u: int, v: int) -> bool:
+        """One stage-1 iteration; False when no schedule exists for this
+        AWCT target.
 
         Probes every remaining combination of the pair (rolling each back
-        with redo capture), commits the mandatory discards of contradictory
-        combinations as they are found — later probes must see them, exactly
-        like the copy-based loop — and finally keeps the winner by rolling
-        back to the winner's probe point (undoing discards committed after
-        it, which the winning lineage never saw) and redoing the captured
-        mutations.  The result is byte-identical to the copy the copy-based
-        scheduler would have kept, without re-running any deduction."""
+        with redo capture) and commits the mandatory discards of
+        contradictory combinations as they are found, so later probes see
+        them.  The winner — lowest ``(score, distance)`` — is kept by
+        rolling back to its probe point (undoing discards committed after
+        it, which the winning candidate never saw) and redoing its captured
+        mutations, without re-running any deduction."""
         engine = ctx.engine
         best: Optional[Tuple[Tuple, int, int, List[tuple]]] = None  # (score, distance, mark, redo log)
         for distance in list(state.remaining_combinations(u, v)):
@@ -744,18 +356,17 @@ class CombinationsStage:
                     ctx.dp, state, [DiscardCombination(u, v, distance)], ctx.budget
                 )
                 if not commit.ok:
-                    return None
+                    return False
 
         if best is not None:
             _, _, mark, log = best
             engine.rollback(state, mark)
             engine.redo(state, log)
-            return state
-        if not state.is_pair_decided(u, v):
-            # The pair can neither be chosen nor discarded: no schedule
-            # exists for this AWCT target.
-            return None
-        return state
+            return True
+        # Without a viable combination the pair must already be decided;
+        # otherwise it can neither be chosen nor discarded and no schedule
+        # exists for this AWCT target.
+        return state.is_pair_decided(u, v)
 
 
 # --------------------------------------------------------------------------- #
@@ -770,7 +381,6 @@ class _FixCyclesBody:
         ctx: StageContext, state: SchedulingState, communications: bool
     ) -> Optional[SchedulingState]:
         engine, config = ctx.engine, ctx.config
-        use_trail = config.use_trail
         safety = 0
         limit = 8 * (len(state.all_ids) + 4)
         while True:
@@ -797,100 +407,53 @@ class _FixCyclesBody:
             hint = None if communications else ctx.cycle_hints.get(op_id)
             cycles = cand.cycle_candidates(state, op_id, n_candidates, hint=hint)
             earliest_contradicts = False
-            if use_trail:
-                if config.prune_candidates:
-                    # Opt-in: drop candidates whose probe provably
-                    # contradicts on saturated resources (same winner,
-                    # less dp_work — the skipped deductions change the
-                    # work accounting, hence not default-on).
-                    cycles, pruned = cand.prune_cycle_candidates(state, op_id, cycles)
-                    engine.stats["candidates_pruned"] += pruned
-                early_cut = config.probe_early_cut
-                flc_floor = comp_base = 0.0
-                estart_base = state.estart[op_id]
-                if early_cut:
-                    # Optimistic score floor for any candidate probed from
-                    # this round's state: communications are only ever
-                    # created or resolved during a deduction (never
-                    # dropped — only unresolved PLCs are, at stage-6
-                    # entry), so the fully-linked count is a floor on the
-                    # score's n_communications; original estarts are
-                    # monotone under deduction, so compactness is floored
-                    # by the current sum plus this operation's own shift.
-                    flc_floor = float(len(state.comms.fully_linked()))
-                    comp_base = state.compactness()
-                # Whether probes on this state go through the memoization
-                # cache (trail mode on the scheduler's shared state with
-                # probe_cache enabled): candidates then probe through
-                # probe_memo and the winner replays from the cache instead
-                # of carrying a captured redo log.
-                memo = engine.memoizes(state)
-                decision_of = {cycle: ScheduleInCycle(op_id, cycle) for cycle in cycles}
-                best: Optional[Tuple[Tuple, int, Optional[List[tuple]]]] = None
-                for index, cycle in enumerate(cycles):
-                    if early_cut and best is not None:
-                        bound_comp = (
-                            comp_base if communications else comp_base + (cycle - estart_base)
-                        )
-                        if (flc_floor, bound_comp) > (best[0][0], best[0][1]):
-                            # Every later candidate's floor is at least
-                            # this one's (cycles ascend): no remaining
-                            # cycle can beat the current (score, cycle)
-                            # winner lexicographically.
-                            engine.stats["early_cut_skips"] += len(cycles) - index
-                            break
-                    if memo:
-                        mark, study = engine.probe_memo(
-                            ctx.dp, state, [decision_of[cycle]], ctx.budget
-                        )
-                    else:
-                        mark, study = engine.probe(
-                            ctx.dp, state, [decision_of[cycle]], ctx.budget
-                        )
-                    if study.ok:
-                        score = state_score(state)
-                        if memo:
-                            engine.rollback_memo(state, mark)
-                            log: Optional[List[tuple]] = None
-                        else:
-                            log = engine.rollback_capture(state, mark)
-                        if best is None or (score, cycle) < (best[0], best[1]):
-                            best = (score, cycle, log)
-                    else:
-                        if memo:
-                            engine.rollback_memo(state, mark)
-                        else:
-                            engine.rollback(state, mark)
-                        if cycle == state.estart[op_id]:
-                            earliest_contradicts = True
-                if best is not None:
-                    if memo:
-                        engine.replay_memo(state, [decision_of[best[1]]])
-                    else:
-                        assert best[2] is not None
-                        engine.redo(state, best[2])
-                    continue
-            else:
-                viable: List[Tuple[Tuple, int, SchedulingState]] = []
-                for cycle in cycles:
-                    study = engine.study(
-                        ctx.dp, state, [ScheduleInCycle(op_id, cycle)], ctx.budget
+            early_cut = config.probe_early_cut
+            flc_floor = comp_base = 0.0
+            estart_base = state.estart[op_id]
+            if early_cut:
+                # Optimistic score floor for any candidate probed from this
+                # round's state: communications are only ever created or
+                # resolved during a deduction (never dropped — only
+                # unresolved PLCs are, at stage-6 entry), so the
+                # fully-linked count is a floor on the score's
+                # n_communications; original estarts are monotone under
+                # deduction, so compactness is floored by the current sum
+                # plus this operation's own shift.
+                flc_floor = float(len(state.comms.fully_linked()))
+                comp_base = state.compactness()
+            best: Optional[Tuple[Tuple, int, List[tuple]]] = None
+            for index, cycle in enumerate(cycles):
+                if early_cut and best is not None:
+                    bound_comp = (
+                        comp_base if communications else comp_base + (cycle - estart_base)
                     )
-                    if study.ok:
-                        viable.append((state_score(study.state), cycle, study.state))
-                    elif cycle == state.estart[op_id]:
-                        earliest_contradicts = True
-                if viable:
-                    viable.sort(key=lambda item: (item[0], item[1]))
-                    state = viable[0][2]
-                    continue
-            if earliest_contradicts and state.slack(op_id) > 0:
-                committed = engine.try_keep(
-                    ctx.dp, state, [ForbidCycle(op_id, state.estart[op_id])], ctx.budget
+                    if (flc_floor, bound_comp) > (best[0][0], best[0][1]):
+                        # Every later candidate's floor is at least this
+                        # one's (cycles ascend): no remaining cycle can beat
+                        # the current (score, cycle) winner
+                        # lexicographically.
+                        engine.stats["early_cut_skips"] += len(cycles) - index
+                        break
+                mark, study = engine.probe(
+                    ctx.dp, state, [ScheduleInCycle(op_id, cycle)], ctx.budget
                 )
-                if committed is None:
+                if study.ok:
+                    score = state_score(state)
+                    log = engine.rollback_capture(state, mark)
+                    if best is None or (score, cycle) < (best[0], best[1]):
+                        best = (score, cycle, log)
+                else:
+                    engine.rollback(state, mark)
+                    if cycle == state.estart[op_id]:
+                        earliest_contradicts = True
+            if best is not None:
+                engine.redo(state, best[2])
+                continue
+            if earliest_contradicts and state.slack(op_id) > 0:
+                if not engine.try_keep(
+                    ctx.dp, state, [ForbidCycle(op_id, state.estart[op_id])], ctx.budget
+                ):
                     return None
-                state = committed
                 continue
             return None
 
@@ -910,12 +473,6 @@ class FixCommunicationsStage:
     name = STAGE_FIX_COMMUNICATIONS
 
     def run(self, ctx: StageContext, state: SchedulingState) -> Optional[SchedulingState]:
-        engine = ctx.engine
-        if ctx.config.use_trail:
-            engine.stats["copies_avoided"] += 1
-        else:
-            state = state.copy()
-            engine.stats["copies"] += 1
         state.drop_unresolved_plcs()
         return _FixCyclesBody.fix_cycles(ctx, state, communications=True)
 
@@ -944,11 +501,7 @@ class EliminateOutedgesStage:
             if config.use_matching:
                 pairs = cand.matching_candidates(state)
                 if len(pairs) > 1:
-                    kept = engine.try_keep(
-                        ctx.dp, state, [FuseVCs(pairs=tuple(pairs))], ctx.budget
-                    )
-                    if kept is not None:
-                        state = kept
+                    if engine.try_keep(ctx.dp, state, [FuseVCs(pairs=tuple(pairs))], ctx.budget):
                         continue
                     # A failed matching is not decomposed into per-pair
                     # discards (Section 4.4.2); fall through to the single
@@ -958,15 +511,9 @@ class EliminateOutedgesStage:
             if pair is None:
                 return state
             a, b = pair
-            kept = engine.try_keep(ctx.dp, state, [FuseVCs.single(a, b)], ctx.budget)
-            if kept is not None:
-                state = kept
+            if engine.try_keep(ctx.dp, state, [FuseVCs.single(a, b)], ctx.budget):
                 continue
-            kept = engine.try_keep(
-                ctx.dp, state, [MarkVCsIncompatible.single(a, b)], ctx.budget
-            )
-            if kept is not None:
-                state = kept
+            if engine.try_keep(ctx.dp, state, [MarkVCsIncompatible.single(a, b)], ctx.budget):
                 continue
             return None
 
@@ -996,21 +543,12 @@ class FinalMappingStage:
             candidates = cand.fusion_candidates_for_mapping(state)
             if not candidates:
                 return None
-            progressed = False
             for a, b in candidates:
-                kept = engine.try_keep(ctx.dp, state, [FuseVCs.single(a, b)], ctx.budget)
-                if kept is not None:
-                    state = kept
-                    progressed = True
+                if engine.try_keep(ctx.dp, state, [FuseVCs.single(a, b)], ctx.budget):
                     break
-                kept = engine.try_keep(
-                    ctx.dp, state, [MarkVCsIncompatible.single(a, b)], ctx.budget
-                )
-                if kept is not None:
-                    state = kept
-                    progressed = True
+                if engine.try_keep(ctx.dp, state, [MarkVCsIncompatible.single(a, b)], ctx.budget):
                     break
-            if not progressed:
+            else:
                 return None
 
 

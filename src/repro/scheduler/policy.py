@@ -411,7 +411,7 @@ def partial_cluster_hints(state: SchedulingState) -> Dict[int, int]:
 def cheap_extraction(
     block: Superblock,
     machine: ClusteredMachine,
-    state: Optional[SchedulingState],
+    state: SchedulingState,
 ) -> Optional[ScheduleResult]:
     """List-scheduling extraction over the partially-fixed scheduling graph.
 
@@ -421,7 +421,7 @@ def cheap_extraction(
     list scheduler, so the result is a complete schedule by construction;
     it is validated anyway and ``None`` is returned when anything is off
     (the caller then falls back)."""
-    hints = partial_cluster_hints(state) if state is not None else {}
+    hints = partial_cluster_hints(state)
     extractor = CarsScheduler(cluster_hints=hints or None)
     try:
         result = extractor.schedule(block, machine)

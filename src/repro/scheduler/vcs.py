@@ -23,21 +23,17 @@ stand in).
 Hot-path design
 ---------------
 Candidate decisions are *probed in place* using the scheduling state's
-mutation trail (``checkpoint``/``rollback``) instead of deep-copying the
-state per candidate: a probe applies the decision through the deduction
-process, records the resulting score, and rolls the state back.  When one
-of several scored candidates wins, its (deterministic) deduction is
-replayed once on the live state without re-charging the work budget, so the
-compile-effort accounting matches the copy-based scheme decision for
-decision.  A single pristine state is built per block and rolled back
-between AWCT targets and minAWCT probes, so the global estart computation
-runs once and bound deltas propagate only from changed nodes.
-
-``VcsConfig.use_trail=False`` restores copy-based probing (one full state
-copy per candidate); the two modes follow the same control flow and must
-produce byte-identical schedules, which the determinism tests assert.
-The probing primitives live in
-:class:`~repro.scheduler.pipeline.ProbeEngine`, shared by all stages.
+mutation trail: a probe checkpoints the state, applies the decision
+through the deduction process, records the resulting score, and rolls the
+state back while capturing a redo log.  When one of several scored
+candidates wins, its captured mutations are redone on the live state
+without re-running its deduction or re-charging the work budget.  A
+single pristine state is built per block and rolled back between AWCT
+targets and minAWCT probes, so the global estart computation runs once and
+bound deltas propagate only from changed nodes.  The probing primitives
+live in :class:`~repro.scheduler.pipeline.ProbeEngine`, shared by all
+stages; :meth:`SchedulingState.copy` and :meth:`DeductionProcess.check`
+remain as the reference oracle the tests compare in-place probing against.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from repro.bounds.awct import min_exit_cycles
 from repro.bounds.enumeration import ExitBoundEnumerator, ExitBoundStep
 from repro.deduction.consequence import SetExitDeadlines
 from repro.deduction.engine import BudgetExhausted, DeductionProcess, WorkBudget
-from repro.deduction.queue import QUEUE_MODES
 from repro.deduction.rules import default_rules
 from repro.deduction.state import SchedulingState
 from repro.ir.superblock import Superblock
@@ -115,11 +110,6 @@ class VcsConfig:
     #: is exhausted — the paper's timeout mechanism.  When False the
     #: scheduler returns a schedule-less result instead.
     fallback_to_cars: bool = True
-    #: Probe candidate decisions in place via the mutation trail (rollback
-    #: on contradiction) instead of deep-copying the state per candidate.
-    #: Both modes follow the same decision sequence; False exists for the
-    #: determinism tests and the perf harness.
-    use_trail: bool = True
     #: Explicit decision-stage order (names from
     #: :func:`repro.scheduler.pipeline.available_stages`); None selects the
     #: paper's order (or the eager-mapping variant).
@@ -129,25 +119,6 @@ class VcsConfig:
     #: from a CARS pre-pass.  A tuple of pairs so the config stays
     #: picklable and comparable.
     cycle_hints: Optional[Tuple[Tuple[int, int], ...]] = None
-    #: Propagation-queue discipline of the deduction process: ``"fifo"``
-    #: (the paper's flat worklist, the byte-identity oracle gated in CI) or
-    #: ``"tiered"`` (cheap bound events drain first, identical pending
-    #: changes coalesce — same fixed point, fewer rule firings, so
-    #: ``dp_work`` differs and the mode is opt-in).
-    queue_mode: str = "fifo"
-    #: Memoize completed in-place deductions keyed by (decision, state
-    #: epoch) and replay them — identical work accounting and byte-identical
-    #: state mutations — when the same decision is re-probed at the same
-    #: state (the minAWCT tightening loop).  Trail mode only; copy mode
-    #: ignores the flag, keeping the copy oracle cache-free.
-    probe_cache: bool = True
-    #: Drop cycle-pinning candidates whose probe provably contradicts on
-    #: saturated per-cycle resources before probing them (see
-    #: :func:`repro.scheduler.candidates.prune_cycle_candidates`).  The
-    #: winning ``(score, cycle)`` is unchanged, but the skipped probes'
-    #: deductions no longer charge the work budget, so ``dp_work`` differs
-    #: from the gated oracle — opt-in, like ``queue_mode="tiered"``.
-    prune_candidates: bool = False
     #: Stop probing a cycle-pinning round as soon as an optimistic score
     #: bound proves that no remaining candidate cycle can beat the current
     #: ``(score, cycle)`` winner.  Same winner, fewer probes — changes
@@ -213,14 +184,6 @@ class VcsConfig:
             if isinstance(value, str):
                 value = [pair.split(":") for pair in value.split(",") if pair.strip()]
             return tuple((int(op), int(cycle)) for op, cycle in value)
-        if key == "queue_mode":
-            text = str(value).strip().lower()
-            if text not in QUEUE_MODES:
-                raise ValueError(
-                    f"invalid queue mode {value!r} for VcsConfig.queue_mode; "
-                    f"known modes: {', '.join(QUEUE_MODES)}"
-                )
-            return text
         if key in ("work_budget", "max_awct_steps", "stage1_max_decisions", "cycle_candidates"):
             try:
                 return int(value)
@@ -269,7 +232,7 @@ class VirtualClusterScheduler:
         self.config = config or VcsConfig()
         self._fallback = fallback
         self._pipeline = StagePipeline.from_config(self.config)
-        #: Probe/copy counters of the most recent :meth:`schedule` call.
+        #: Probe counters of the most recent :meth:`schedule` call.
         self.stats: Dict[str, int] = new_probe_stats()
         #: Per-stage call counts and wall times of the most recent call.
         self.stage_timings: Dict[str, Dict[str, float]] = {}
@@ -295,11 +258,8 @@ class VirtualClusterScheduler:
         configured not to)."""
         start = time.perf_counter()
         self.stats = new_probe_stats()
-        engine = ProbeEngine(self.config, self.stats)
-        dp = DeductionProcess(
-            rules=default_rules(enable_plc=self.config.enable_plc),
-            queue_mode=self.config.queue_mode,
-        )
+        engine = ProbeEngine(self.stats)
+        dp = DeductionProcess(rules=default_rules(enable_plc=self.config.enable_plc))
         budget = WorkBudget(self.config.work_budget)
         policy = self.config.policy
         tracker: Optional[PolicyTracker] = None
@@ -308,9 +268,8 @@ class VirtualClusterScheduler:
             tracker.attach(budget)
             engine.tracker = tracker
             # Exhaustion recovery (rollback to the sequence entry) only
-            # matters when a partially-decided state will be finalized, and
-            # only trail mode has one shared state to keep consistent.
-            engine.recover_on_exhaustion = policy.finalizes_partial and self.config.use_trail
+            # matters when a partially-decided state will be finalized.
+            engine.recover_on_exhaustion = policy.finalizes_partial
         wall_limits = [
             limit
             for limit in (self.config.time_limit, policy.max_wall_s if policy else None)
@@ -329,32 +288,23 @@ class VirtualClusterScheduler:
         )
         self.stage_timings = ctx.timings
 
-        # Trail mode reuses one pristine state for every minAWCT probe and
-        # AWCT target (rolled back in between); copy mode rebuilds it.
-        shared: Optional[SchedulingState] = None
-        pristine = 0
-        if self.config.use_trail:
-            shared = SchedulingState(block, machine, sgraph)
-            pristine = shared.checkpoint()
-            if self.config.probe_cache:
-                engine.attach_cache(shared)
+        # One pristine state serves every minAWCT probe and AWCT target
+        # (rolled back in between).
+        state = SchedulingState(block, machine, sgraph)
+        pristine = state.checkpoint()
 
         steps_tried = 0
         timed_out = False
         try:
-            initial = self._tighten_exit_bounds(
-                block, machine, sgraph, ctx, shared=shared, pristine=pristine
-            )
+            initial = self._tighten_exit_bounds(block, machine, ctx, state, pristine)
             enumerator = ExitBoundEnumerator(block, machine, initial_cycles=initial)
             for target in enumerator:
                 steps_tried += 1
                 if steps_tried > self.config.max_awct_steps:
                     break
                 engine.check_time()
-                if shared is not None:
-                    engine.rollback(shared, pristine)
-                state = self._try_target(block, machine, sgraph, ctx, target, shared)
-                if state is None or ctx.schedule is None:
+                engine.rollback(state, pristine)
+                if not self._try_target(ctx, state, target) or ctx.schedule is None:
                     continue
                 result = ScheduleResult(
                     scheduler=self.name,
@@ -379,7 +329,7 @@ class VirtualClusterScheduler:
 
         if tracker is not None and timed_out and tracker.policy.finalizes_partial:
             return self._finalize_partial(
-                block, machine, shared, budget, tracker, steps_tried, dp, ctx, start
+                block, machine, state, budget, tracker, steps_tried, dp, ctx, start
             )
 
         if not self.config.fallback_to_cars:
@@ -418,11 +368,10 @@ class VirtualClusterScheduler:
 
     def _result_stats(self, dp: DeductionProcess) -> Dict[str, int]:
         """The probe counters plus the deduction engine's per-rule-class
-        work split and worklist counters (all reported, never gated)."""
+        work split (all reported, never gated)."""
         stats = dict(self.stats)
         for name in sorted(dp.work_by_rule):
             stats[f"dp_rule_{name}"] = dp.work_by_rule[name]
-        stats.update(dp.queue_stats)
         return stats
 
     # ------------------------------------------------------------------ #
@@ -432,7 +381,7 @@ class VirtualClusterScheduler:
         self,
         block: Superblock,
         machine: ClusteredMachine,
-        shared: Optional[SchedulingState],
+        state: SchedulingState,
         budget: WorkBudget,
         tracker: PolicyTracker,
         steps_tried: int,
@@ -442,16 +391,14 @@ class VirtualClusterScheduler:
     ) -> ScheduleResult:
         """Exhaustion under a ``finalize_partial`` policy.
 
-        The shared trail state holds the best-so-far valid decision set
+        The shared state holds the best-so-far valid decision set
         (exhaustion recovery rolled back the aborted deduction, so it is
         consistent); freeze it and finalize cheaply — a list-scheduling
         extraction over the partially-fixed scheduling graph
         (:func:`~repro.scheduler.policy.cheap_extraction`) — then emit the
         better of that extraction and the plain fallback schedule, so the
-        output is never worse than the paper's timeout mechanism.  Copy
-        mode has no shared partial state; the extraction degrades to plain
-        CARS there."""
-        extraction = cheap_extraction(block, machine, shared)
+        output is never worse than the paper's timeout mechanism."""
+        extraction = cheap_extraction(block, machine, state)
         chosen: Optional[Schedule] = None
         source = "none"
         extra_work = 0
@@ -588,11 +535,10 @@ class VirtualClusterScheduler:
         self,
         block: Superblock,
         machine: ClusteredMachine,
-        sgraph: SchedulingGraph,
         ctx: StageContext,
+        state: SchedulingState,
+        pristine: int,
         max_probe: int = 6,
-        shared: Optional[SchedulingState] = None,
-        pristine: int = 0,
     ) -> Dict[int, int]:
         """Enhanced minAWCT (Section 4.2): probe each exit's earliest cycle
         through the deduction process and push it up when the DP proves it
@@ -600,64 +546,39 @@ class VirtualClusterScheduler:
         engine = ctx.engine
         base = min_exit_cycles(block, machine)
         tightened: Dict[int, int] = {}
-        # A tightening probe's key can only recur as the first AWCT target,
-        # and that target keys on the *full* exit mapping — so recording a
-        # replay log (capture + redo of the whole span) pays off only for
-        # single-exit blocks.  Multi-exit probes stay lookup-only.
-        memoize = len(base) == 1
         for exit_id, cycle in base.items():
             chosen = cycle
             for attempt in range(max_probe):
                 engine.check_time()
-                if shared is not None:
-                    engine.rollback(shared, pristine)
-                    engine.stats["copies_avoided"] += 1
-                    probe = shared
-                else:
-                    probe = SchedulingState(block, machine, sgraph)
-                result = engine.apply_decisions(
+                engine.rollback(state, pristine)
+                result = engine.apply_sequence(
                     ctx.dp,
-                    probe,
+                    state,
                     [SetExitDeadlines.from_mapping({exit_id: chosen})],
                     ctx.budget,
-                    memoize=memoize,
                 )
                 if result.ok:
                     break
                 chosen += 1
             tightened[exit_id] = chosen
-        if shared is not None:
-            engine.rollback(shared, pristine)
+        engine.rollback(state, pristine)
         return tightened
 
     # ------------------------------------------------------------------ #
     # per-target scheduling: run the stage pipeline
     # ------------------------------------------------------------------ #
     def _try_target(
-        self,
-        block: Superblock,
-        machine: ClusteredMachine,
-        sgraph: SchedulingGraph,
-        ctx: StageContext,
-        target: ExitBoundStep,
-        shared: Optional[SchedulingState] = None,
-    ) -> Optional[SchedulingState]:
-        if shared is not None:
-            state = shared  # already rolled back to pristine by the caller
-            ctx.engine.stats["copies_avoided"] += 1
-        else:
-            state = SchedulingState(block, machine, sgraph)
-        result = ctx.engine.apply_decisions(
+        self, ctx: StageContext, state: SchedulingState, target: ExitBoundStep
+    ) -> bool:
+        """Run the stage pipeline for one AWCT target on *state* (already
+        rolled back to pristine by the caller); True when it got through
+        every stage."""
+        result = ctx.engine.apply_sequence(
             ctx.dp,
             state,
             [SetExitDeadlines.from_mapping(target.exit_cycles)],
             ctx.budget,
-            # Each enumerated target is applied once (the enumerator's
-            # visited set), so this deduction's key cannot recur: look up
-            # (the tightening loop may have memoized the same deadlines)
-            # but do not pay for recording a replay log.
-            memoize=False,
         )
         if not result.ok:
-            return None
-        return self._pipeline.run(ctx, result.state)
+            return False
+        return self._pipeline.run(ctx, state) is not None

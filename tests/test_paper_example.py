@@ -90,11 +90,10 @@ class TestSection5Deductions:
             dp=dp,
             budget=WorkBudget(None),
             config=scheduler.config,
-            engine=ProbeEngine(scheduler.config),
+            engine=ProbeEngine(),
         )
-        tightened = scheduler._tighten_exit_bounds(
-            block, machine, SchedulingGraph(block, machine), ctx
-        )
+        state = SchedulingState(block, machine, SchedulingGraph(block, machine))
+        tightened = scheduler._tighten_exit_bounds(block, machine, ctx, state, state.checkpoint())
         enumerator = ExitBoundEnumerator(block, machine, initial_cycles=tightened)
         targets = enumerator.targets(2)
         assert targets[0].exit_cycles == {B0: 4, B1: 7}

@@ -108,7 +108,7 @@ class TestConfigLayer:
     def test_vcs_config_dict_round_trip(self):
         config = VcsConfig(
             work_budget=123,
-            use_trail=False,
+            use_matching=False,
             stage_order=("combinations", "fix-cycles"),
             cycle_hints=((0, 1), (2, 5)),
         )
@@ -116,10 +116,10 @@ class TestConfigLayer:
 
     def test_vcs_config_string_coercion(self):
         config = VcsConfig.from_dict(
-            {"work_budget": "200", "use_trail": "0", "stage1_slack_limit": "1.5"}
+            {"work_budget": "200", "use_matching": "0", "stage1_slack_limit": "1.5"}
         )
         assert config.work_budget == 200
-        assert config.use_trail is False
+        assert config.use_matching is False
         assert config.stage1_slack_limit == 1.5
 
     def test_vcs_config_rejects_unknown_keys(self):
@@ -155,10 +155,10 @@ class TestConfigLayer:
         assert spec.vcs.cycle_hints == ((0, 3), (2, 5))
         assert resolve_stage_order(spec.vcs)[-1] == STAGE_EXTRACTION
         # Overrides stack on an explicit base without clobbering it.
-        base = BackendSpec(name="vcs", vcs=VcsConfig(use_trail=False))
+        base = BackendSpec(name="vcs", vcs=VcsConfig(use_matching=False))
         spec = BackendSpec.from_env(base=base, env={"REPRO_VCS_WORK_BUDGET": "9"})
         assert spec.name == "vcs"
-        assert spec.vcs.use_trail is False
+        assert spec.vcs.use_matching is False
         assert spec.vcs.work_budget == 9
 
     def test_schedule_job_rejects_unknown_backend(self):
@@ -335,7 +335,7 @@ class TestRunSuiteCli:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
         return subprocess.run(
-            [sys.executable, os.path.join(REPO_ROOT, "scripts", "run_suite.py"), *argv],
+            [sys.executable, "-m", "repro.cli", "suite", *argv],
             capture_output=True,
             text=True,
             env=env,

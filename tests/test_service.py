@@ -146,6 +146,18 @@ class TestHttpIdentity:
             client._call("POST", "/api/v1/jobs", {"nonsense": 1})
         assert excinfo.value.status == 400
 
+    def test_submit_rejects_removed_vcs_knobs(self, server):
+        """A VCS config carrying a removed knob is refused with a 400, not
+        scheduled under a silently defaulted config."""
+        client = ServiceClient(server.url)
+        wire = _request(paper_figure1_block()).to_dict()
+        wire["backend"]["vcs"]["use_trail"] = False
+        with pytest.raises(ServiceError) as excinfo:
+            client._call("POST", "/api/v1/jobs", wire)
+        assert excinfo.value.status == 400
+        assert "invalid schedule request" in excinfo.value.message
+        assert client.stats()["jobs"]["total"] == 0
+
     def test_unknown_job_is_404(self, server):
         with pytest.raises(ServiceError) as excinfo:
             ServiceClient(server.url).status("j-999999")

@@ -7,6 +7,12 @@ combinations, connected components, the VCG partition, communications and
 the dirty-tracked candidate caches.  Hypothesis drives random decision
 sequences through the deduction process and asserts exactly that, including
 nested checkpoints and redo logs.
+
+The reference oracle is :meth:`DeductionProcess.check` — the same
+decision applied to a ``copy()`` of the state.  In-place probing through
+:class:`~repro.scheduler.pipeline.ProbeEngine` must agree with it on the
+outcome, the work and the per-rule work split, roll back to the exact
+pre-probe state, and redo to the exact state the copy reached.
 """
 
 import math
@@ -23,7 +29,9 @@ from repro.deduction.consequence import (
     ScheduleInCycle,
     SetExitDeadlines,
 )
-from repro.machine import example_2cluster, paper_2c_8i_1lat
+from repro.deduction.engine import WorkBudget
+from repro.machine import example_2cluster, paper_2c_8i_1lat, paper_4c_16i_1lat
+from repro.scheduler.pipeline import ProbeEngine
 from repro.sgraph import SchedulingGraph
 from repro.workloads import paper_figure1_block
 from repro.workloads.synth import GeneratorConfig, SuperblockGenerator
@@ -261,80 +269,90 @@ class TestRollbackEquivalence:
         assert snapshot(state) == before
 
 
-class TestStateTokens:
-    """The trail-prefix token identifying a state for probe memoization."""
+# --------------------------------------------------------------------------- #
+# in-place probing vs the copy oracle
+# --------------------------------------------------------------------------- #
+_ORACLE_MACHINES = [paper_2c_8i_1lat(), paper_4c_16i_1lat()]
 
-    def _bounded_state(self):
-        block, machine, sgraph = _CONTEXTS[0]
-        state = SchedulingState(block, machine, sgraph)
+
+def _stage_decision(draw, state: SchedulingState):
+    """One decision of the kinds the stages probe, drawn from the current
+    state: a combination of an undecided pair (stage 1 chooses it, or
+    discards it after a contradiction), a cycle from an unfixed
+    operation's window (stages 2/6) or the estart forbid that unblocks a
+    contradicting earliest cycle."""
+    kind = draw(st.sampled_from(["choose", "discard", "pin", "forbid"]))
+    pairs = sorted(state._undecided_pairs)
+    if kind in ("choose", "discard") and pairs:
+        u, v = draw(st.sampled_from(pairs))
+        distance = draw(st.sampled_from(state.remaining_combinations(u, v)))
+        cls = ChooseCombination if kind == "choose" else DiscardCombination
+        return cls(u, v, distance)
+    unfixed = sorted(state.unfixed_ids())
+    op_id = draw(st.sampled_from(unfixed or state.original_ids))
+    estart = state.estart[op_id]
+    if kind == "forbid":
+        return ForbidCycle(op_id, estart)
+    return ScheduleInCycle(op_id, estart + draw(st.integers(min_value=0, max_value=3)))
+
+
+def _split_delta(before, after):
+    """Per-rule firings added between two ``work_by_rule`` snapshots."""
+    return {
+        name: count - before.get(name, 0)
+        for name, count in after.items()
+        if count != before.get(name, 0)
+    }
+
+
+class TestProbeMatchesCopyOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=400),
+        machine_index=st.integers(min_value=0, max_value=len(_ORACLE_MACHINES) - 1),
+        slack=st.integers(min_value=0, max_value=4),
+        data=st.data(),
+    )
+    def test_probe_agrees_with_check_on_a_copy(self, seed, machine_index, slack, data):
+        gen = SuperblockGenerator(GeneratorConfig(min_ops=6, max_ops=14), seed=seed)
+        block = gen.generate(name=f"oracle-{seed}")
+        machine = _ORACLE_MACHINES[machine_index]
+        state = SchedulingState(block, machine, SchedulingGraph(block, machine))
+        deadline = max(state.estart[e] for e in block.exit_ids) + slack
         dp = DeductionProcess()
-        return block, dp, state
-
-    def test_rollback_restores_token(self):
-        block, dp, state = self._bounded_state()
-        pristine = state.state_token()
-        mark = state.checkpoint()
-        apply_all(dp, state, [SetExitDeadlines.from_mapping({e: 9 for e in block.exit_ids})])
-        assert state.state_token() != pristine
-        state.rollback(mark)
-        assert state.state_token() == pristine
-
-    def test_diverging_mutation_changes_token(self):
-        """Same trail length, different content => different token.
-
-        Driven directly at the Trail level so the same-length collision —
-        the exact case ProbeCache soundness depends on — is asserted
-        deterministically, not only when two deductions happen to record
-        equally many entries."""
-        from repro.trail import Trail
-
-        trail = Trail()
-        first_target: dict = {}
-        for i in range(5):
-            trail.set_item(first_target, i, "a")
-        token_a = trail.token()
-        trail.rollback(0)
-        second_target: dict = {}
-        for i in range(5):
-            trail.set_item(second_target, i, "b")
-        assert len(trail) == 5  # same length as when token_a was taken
-        assert trail.token() != token_a
-        # Re-pushing even byte-identical entries lands in a fresh era.
-        trail.rollback(0)
-        for i in range(5):
-            trail.set_item(first_target, i, "a")
-        assert trail.token() != token_a
-
-    def test_diverging_deduction_changes_token(self):
-        block, dp, state = self._bounded_state()
-        mark = state.checkpoint()
-        apply_all(dp, state, [SetExitDeadlines.from_mapping({e: 9 for e in block.exit_ids})])
-        after_first = state.state_token()
-        length_first = state.checkpoint()
-        state.rollback(mark)
-        apply_all(dp, state, [SetExitDeadlines.from_mapping({e: 10 for e in block.exit_ids})])
-        # Even if the diverging run lands on the same trail length, the
-        # token must differ (a fresh era started after the rollback).
-        if state.checkpoint() == length_first:
-            assert state.state_token() != after_first
-
-    def test_equal_tokens_only_for_identical_states(self):
-        block, dp, state = self._bounded_state()
-        mark = state.checkpoint()
-        decisions = [SetExitDeadlines.from_mapping({e: 9 for e in block.exit_ids})]
-        apply_all(dp, state, decisions)
-        token = state.state_token()
-        reference = snapshot(state)
-        state.rollback(mark)
-        apply_all(dp, state, decisions)
-        # The re-applied span pushes the same entries in a new era: the
-        # state content is identical but the token conservatively differs
-        # (a token match is a guarantee, not a completeness promise).
-        assert snapshot(state) == reference
-        # Rolling back and forward with capture/redo preserves content and
-        # coherence regardless of token identity.
-        log = state.rollback_capture(mark)
-        state.redo(log)
-        assert snapshot(state) == reference
-        check_cache_coherence(state)
-        _ = token
+        oracle = DeductionProcess()
+        bounded = dp.apply(
+            state,
+            SetExitDeadlines.from_mapping({e: deadline for e in block.exit_ids}),
+            in_place=True,
+        )
+        if not bounded.ok:
+            return
+        engine = ProbeEngine()
+        budget = WorkBudget()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            decision = _stage_decision(data.draw, state)
+            before = snapshot(state)
+            oracle_split = dict(oracle.work_by_rule)
+            expected = oracle.check(state, decision)
+            assert snapshot(state) == before  # the oracle never mutates
+            probe_split = dict(dp.work_by_rule)
+            spent = budget.spent
+            mark, result = engine.probe(dp, state, [decision], budget)
+            assert result.contradiction == expected.contradiction, decision
+            assert result.work == expected.work == budget.spent - spent
+            assert _split_delta(probe_split, dp.work_by_rule) == _split_delta(
+                oracle_split, oracle.work_by_rule
+            )
+            if not result.ok:
+                engine.rollback(state, mark)
+                assert snapshot(state) == before
+                check_cache_coherence(state)
+                continue
+            reached = snapshot(expected.state)
+            assert snapshot(state) == reached
+            log = engine.rollback_capture(state, mark)
+            assert snapshot(state) == before
+            engine.redo(state, log)
+            assert snapshot(state) == reached
+            check_cache_coherence(state)
