@@ -411,8 +411,9 @@ def schedule_many(
     and the job server.  Jobs are content-keyed against the on-disk result cache
     (``cache=None`` follows the environment; pass
     :meth:`CacheSpec.disabled() <repro.runner.cache.CacheSpec.disabled>`
-    for forced cold runs) and machines are interned on the parallel
-    path.  Values come back in submission order; ``on_error='capture'``
+    for forced cold runs).  Hits are read in the calling process; only
+    misses reach the runner, with their machines interned on the
+    parallel path.  Values come back in submission order; ``on_error='capture'``
     reports failures in ``BatchResult.failures`` instead of raising
     :class:`~repro.runner.batch.BatchError`.
     """

@@ -46,14 +46,14 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser.add_argument(
         "--jobs",
         default=None,
-        help="worker processes per dispatch round: a count or 'auto' "
+        help="worker processes that compute cache misses: a count or 'auto' "
         "(default: REPRO_JOBS or 1)",
     )
     parser.add_argument(
         "--max-batch",
         type=int,
         default=None,
-        help="max jobs folded into one dispatch round (default: worker count)",
+        help="max jobs in flight at once (default: worker count)",
     )
     parser.add_argument(
         "--timeout",

@@ -23,7 +23,9 @@ dies (``BrokenProcessPool``) fails every job still in flight, and an
 expired stride deadline (``timeout`` × jobs in the stride) tears the pool
 down and fails the unfinished jobs as ``timeout`` / ``cancelled``.  In
 both cases a shared pool is *replaced*, not merely shut down — the next
-batch transparently gets a fresh pool.
+batch transparently gets a fresh pool.  Batches running concurrently on
+the same shared pool (the job server runs one per in-flight job) lose
+their workers too: their unfinished jobs fail as ``crash``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeoutError
+from concurrent.futures import (
+    CancelledError,
+    ProcessPoolExecutor,
+    TimeoutError as FutureTimeoutError,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -100,8 +106,10 @@ class BatchResult:
     wall_time: float = 0.0
     n_workers: int = 1
     chunk_size: int = 1
+    #: ``"serial"``, ``"process"``, or ``"cache"`` when every job of a
+    #: cache-aware batch was a hit and the runner never ran.
     backend: str = "serial"
-    #: Result-cache hit/miss/store counters aggregated from the workers;
+    #: Result-cache hit/miss/store counters of a cache-aware batch;
     #: ``None`` when the batch ran without a cache-aware job function.
     cache: Optional[CacheStats] = None
     #: Per-job outcome tags (``"hit"``/``"miss"``/``"off"``; ``""`` for
@@ -191,6 +199,11 @@ class BatchScheduler:
     ) -> BatchResult:
         """Run ``fn`` over ``payloads``; results come back in input order.
 
+        Only a one-worker scheduler runs serially in the calling process.
+        Any other worker count runs every batch on the process pool, a
+        one-job batch included, so the pool's warm workers do the work
+        and the ``timeout`` can preempt it.
+
         ``on_error='raise'`` raises :class:`BatchError` if any job failed;
         ``on_error='capture'`` returns the failures in the result instead,
         with ``None`` in the failed jobs' value slots.
@@ -201,7 +214,7 @@ class BatchScheduler:
         ids = self._job_ids(payloads, job_ids)
 
         start = time.perf_counter()
-        if self.n_workers == 1 or len(payloads) <= 1:
+        if self.n_workers == 1:
             result = self._map_serial(fn, payloads, ids)
         else:
             result = self._map_process_pool(fn, payloads, ids)
@@ -287,7 +300,7 @@ class BatchScheduler:
                 # resubmit the whole batch on a fresh pool.
                 if pool is None:
                     raise
-                pool.replace()
+                pool.replace(executor)
                 executor = pool.executor()
                 futures = [(chunk, executor.submit(_run_chunk, fn, chunk)) for chunk in chunks]
             for chunk, future in futures:
@@ -313,16 +326,18 @@ class BatchScheduler:
                     failures.extend(self._fail_chunk(chunk, ids, "timeout"))
                     self._kill_workers(executor)
                     aborted = True
-                except BrokenProcessPool as exc:
+                except (BrokenProcessPool, CancelledError) as exc:
+                    # CancelledError: a concurrent batch's timeout tore the
+                    # shared executor down under this one.
                     failures.extend(self._fail_chunk(chunk, ids, "crash", exc))
                     aborted = True
         finally:
             if pool is not None:
-                pool.batches_served += 1
+                pool.record_batch()
                 if aborted:
                     # Crashed or timed out: discard the executor so the
                     # next batch transparently gets a fresh pool.
-                    pool.replace()
+                    pool.replace(executor)
             else:
                 executor.shutdown(wait=not aborted, cancel_futures=True)
 

@@ -20,9 +20,11 @@ Layout and guarantees:
   complete old entry or the complete new one.
 * A corrupt/truncated/unreadable entry is treated as a miss (and
   removed best-effort); the job simply recomputes.
-* :class:`CacheStats` counts hits/misses/stores; the batch layer
-  aggregates worker-side outcomes into these parent-side counters, so
-  ``BatchResult.cache`` reflects what actually happened in the pool.
+* Hits are read in the caller: :func:`repro.api.schedule_many` looks
+  every key up in its own process and sends only the misses to the
+  worker pool, whose workers compute and store them and never read.
+  :class:`CacheStats` counts the hits/misses/stores of one batch as
+  ``BatchResult.cache``.
 
 Cache hits are byte-identical to cold runs by construction: the stored
 object is the full ``ScheduleResult`` (schedule, stats, dp_work,
@@ -78,7 +80,7 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def record(self, outcome: str) -> None:
-        """Fold one worker-reported outcome tag into the counters."""
+        """Fold one per-job outcome tag into the counters."""
         if outcome == "hit":
             self.hits += 1
         elif outcome == "miss":
@@ -197,18 +199,19 @@ class ResultCache:
         return self._path(key).exists()
 
 
-# Worker-local open cache handles, keyed by (root, salt) so one worker
+# Per-process open cache handles, keyed by (root, salt) so a process
 # serving jobs with different cache specs keeps them separate.
-_WORKER_CACHES: dict = {}
+_PROCESS_CACHES: dict = {}
 
 
-def worker_cache(spec: CacheSpec) -> Optional[ResultCache]:
-    """The worker-process cache for *spec* (interned per worker)."""
+def process_cache(spec: CacheSpec) -> Optional[ResultCache]:
+    """This process's cache handle for *spec* (interned per process;
+    the batch caller reads through it, pool workers store through it)."""
     if not spec.enabled or not spec.root:
         return None
     key = (spec.root, spec.salt)
-    cache = _WORKER_CACHES.get(key)
+    cache = _PROCESS_CACHES.get(key)
     if cache is None:
         cache = ResultCache(Path(spec.root), salt=spec.salt)
-        _WORKER_CACHES[key] = cache
+        _PROCESS_CACHES[key] = cache
     return cache

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.ir.superblock import Superblock
 from repro.machine.machine import ClusteredMachine
-from repro.runner.cache import CacheSpec, CacheStats, worker_cache
+from repro.runner.cache import CacheSpec, CacheStats, process_cache
 from repro.runner.pool import MachineRef, resolve_machine
 from repro.scheduler.correctness import validate_schedule
 from repro.scheduler.fingerprint import schedule_cache_key
@@ -97,7 +98,7 @@ def run_schedule_job(job: ScheduleJob) -> ScheduleResult:
 
 @dataclass(frozen=True)
 class JobPayload:
-    """The wire form of one :class:`ScheduleJob` on the runner.
+    """The wire form of one cache-missing :class:`ScheduleJob` on the runner.
 
     On the parallel path the job's machine is stripped and replaced by a
     :class:`~repro.runner.pool.MachineRef` (digest + declarative spec),
@@ -105,8 +106,8 @@ class JobPayload:
     that warm workers resolve against their per-process intern table
     instead of unpickling a full ``ClusteredMachine`` per job.  The
     payload also carries the :class:`~repro.runner.cache.CacheSpec` and
-    the job's precomputed content-addressed cache key, so workers never
-    consult the environment.
+    the job's precomputed content-addressed cache key, so workers store
+    the result without consulting the environment.
     """
 
     job: ScheduleJob
@@ -121,28 +122,21 @@ class JobPayload:
         return self.job.job_id
 
 
-def _run_payload_job(payload: JobPayload) -> Tuple[str, ScheduleResult]:
-    """Worker entry point of cache-aware batches.
+def _run_payload_job(payload: JobPayload) -> ScheduleResult:
+    """Worker entry point of cache-aware batches: compute one cache miss.
 
-    Returns ``(outcome, result)`` where outcome is ``"hit"`` (served from
-    the result cache), ``"miss"`` (computed and stored) or ``"off"``
-    (computed, caching disabled) — the parent folds the tags into
-    ``BatchResult.cache``, since worker-process counters are invisible
-    across the process boundary.
+    The caller already looked the key up, so a worker never reads the
+    cache: it computes the job and, when the payload carries a cache
+    key, stores the result under it.
     """
     job = payload.job
     if payload.machine_ref is not None:
         job = replace(job, machine=resolve_machine(payload.machine_ref))
-    cache = worker_cache(payload.cache)
-    if cache is not None and payload.cache_key:
-        hit = cache.get(payload.cache_key)
-        if hit is not None:
-            return ("hit", hit)
     result = run_schedule_job(job)
+    cache = process_cache(payload.cache)
     if cache is not None and payload.cache_key:
         cache.put(payload.cache_key, result)
-        return ("miss", result)
-    return ("off", result)
+    return result
 
 
 def _resolve_cache_spec(cache: object) -> CacheSpec:
@@ -166,35 +160,47 @@ def _execute_job_batch(
     """Run a job list through the (cached, machine-interned) batch runner.
 
     The execution core behind :func:`repro.api.schedule_many` (the public
-    entry point) and the HTTP job server: jobs are keyed by content
-    (:func:`repro.scheduler.fingerprint.schedule_cache_key`)
-    and served from the on-disk result cache when possible; cache misses
-    compute and store.  ``cache=None`` follows the environment
+    entry point) and the HTTP job server.  Jobs are keyed by content
+    (:func:`repro.scheduler.fingerprint.schedule_cache_key`) and every
+    key is looked up in the on-disk result cache here, in the calling
+    process: hits are answered without touching the runner, and only
+    the misses reach ``runner.map``, whose workers compute and store
+    them.  An all-hit batch therefore never spins up or occupies the
+    pool.  ``cache=None`` follows the environment
     (``REPRO_CACHE``/``REPRO_CACHE_DIR``); pass
     :meth:`CacheSpec.disabled() <repro.runner.cache.CacheSpec.disabled>`
-    to force cold computes.  On the parallel path machines travel as
-    interned references (see :class:`JobPayload`); the serial path keeps
-    the original machine objects.  Values come back in submission order
-    with ``BatchResult.cache`` aggregating worker-side hit/miss/store
-    outcomes.
+    to force cold computes.  When the runner has more than one worker,
+    misses travel with their machine as an interned reference (see
+    :class:`JobPayload`); the serial runner keeps the original machine
+    objects.  Values come back in submission order, with
+    ``BatchResult.cache`` counting the hits, misses and stores and
+    ``BatchResult.cache_outcomes`` tagging each job.
     """
-    from repro.runner.batch import BatchError, BatchScheduler
+    from repro.runner.batch import BatchError, BatchResult, BatchScheduler
 
     if on_error not in ("raise", "capture"):
         raise ValueError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
+    start = time.perf_counter()
     runner = runner if runner is not None else BatchScheduler()
     spec = _resolve_cache_spec(cache)
+    cache_handle = process_cache(spec)
     jobs = list(jobs)
-    intern_machines = runner.n_workers > 1 and len(jobs) > 1
 
+    values: List[Optional[ScheduleResult]] = [None] * len(jobs)
+    outcomes: List[str] = [""] * len(jobs)
+    misses: List[int] = []
     payloads: List[JobPayload] = []
-    for job in jobs:
+    for index, job in enumerate(jobs):
         key = ""
-        if spec.enabled and spec.root:
-            key = schedule_cache_key(
-                job.block, job.machine, job.spec.to_dict(), salt=spec.salt
-            )
-        if intern_machines:
+        if cache_handle is not None:
+            key = schedule_cache_key(job.block, job.machine, job.spec.to_dict(), salt=spec.salt)
+            hit = cache_handle.get(key)
+            if hit is not None:
+                values[index] = hit
+                outcomes[index] = "hit"
+                continue
+        misses.append(index)
+        if runner.n_workers > 1:
             payloads.append(
                 JobPayload(
                     job=replace(job, machine=None),
@@ -206,23 +212,28 @@ def _execute_job_batch(
         else:
             payloads.append(JobPayload(job=job, cache=spec, cache_key=key))
 
-    result = runner.map(
-        _run_payload_job,
-        payloads,
-        job_ids=[job.job_id for job in jobs],
-        on_error="capture",
-    )
+    if payloads:
+        computed = runner.map(
+            _run_payload_job,
+            payloads,
+            job_ids=[jobs[index].job_id for index in misses],
+            on_error="capture",
+        )
+        miss_outcome = "off" if cache_handle is None else "miss"
+        for index, value in zip(misses, computed.values):
+            if value is not None:
+                values[index] = value
+                outcomes[index] = miss_outcome
+        failures = [replace(failure, index=misses[failure.index]) for failure in computed.failures]
+        result = replace(computed, values=values, failures=failures)
+    else:
+        result = BatchResult(values=values, n_workers=runner.n_workers, backend="cache")
     stats = CacheStats()
-    outcomes: List[str] = [""] * len(result.values)
-    for index, value in enumerate(result.values):
-        if value is None:
-            continue
-        outcome, schedule_result = value
+    for outcome in outcomes:
         stats.record(outcome)
-        outcomes[index] = outcome
-        result.values[index] = schedule_result
     result.cache = stats
     result.cache_outcomes = outcomes
+    result.wall_time = time.perf_counter() - start
     if result.failures and on_error == "raise":
         raise BatchError(result.failures)
     return result

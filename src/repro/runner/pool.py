@@ -91,13 +91,26 @@ class PersistentPool:
                 self.spin_ups += 1
             return self._executor
 
-    def replace(self) -> None:
+    def replace(self, broken: Optional[ProcessPoolExecutor] = None) -> None:
         """Discard the current executor (crashed or torn down after a
-        timeout); the next :meth:`executor` call creates a fresh one."""
+        timeout); the next :meth:`executor` call creates a fresh one.
+
+        With *broken*, only that executor is discarded: batches running
+        concurrently on one pool may all see it break, and the later ones
+        must not tear down the fresh executor an earlier one already got.
+        """
         with self._lock:
+            if broken is not None and self._executor is not broken:
+                return
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
+
+    def record_batch(self) -> None:
+        """Count one batch dispatched through the pool (batches may run
+        concurrently from several threads)."""
+        with self._lock:
+            self.batches_served += 1
 
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:

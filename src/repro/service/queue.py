@@ -11,7 +11,7 @@ Job lifecycle (states from :data:`repro.api.JOB_STATES`)::
     queued -> running -> done | failed
        \\          \\
         \\          -> cancelling -> cancelled
-         -> cancelled                (cooperative: the in-flight batch
+         -> cancelled                (cooperative: the running job
             (immediate)               finishes, its result is discarded)
 
 The table also keeps per-client state: an optional default
@@ -36,7 +36,9 @@ class ServiceJob:
 
     job_id: str
     client: str
-    request: ScheduleRequest
+    #: The decoded request; released (``None``) once the job is
+    #: dispatched or cancelled, so a finished job does not keep its block.
+    request: Optional[ScheduleRequest]
     state: str = "queued"
     detail: str = ""
     #: Monotonic seconds relative to server start.
@@ -99,8 +101,9 @@ class FairQueue:
 
     ``push`` appends to the submitting client's lane; ``take_round``
     pops up to *limit* jobs, visiting lanes in rotating round-robin
-    order so no client can starve another.  Cancelled jobs are lazily
-    skipped at pop time (cancelling a queued job just flags it).
+    order so no client can starve another.  :meth:`cancel` flags a
+    queued job and the flagged job is skipped at pop time.  The queue
+    keeps a live count of its unflagged jobs, so ``len`` is O(1).
     """
 
     def __init__(self) -> None:
@@ -108,6 +111,8 @@ class FairQueue:
         #: Rotation order; clients are appended on first submission.
         self._rotation: List[str] = []
         self._cursor = 0
+        #: Queued jobs not flagged as cancelled.
+        self._live = 0
 
     def push(self, job: ServiceJob) -> None:
         lane = self._lanes.get(job.client)
@@ -115,11 +120,16 @@ class FairQueue:
             lane = self._lanes[job.client] = deque()
             self._rotation.append(job.client)
         lane.append(job)
+        self._live += 1
+
+    def cancel(self, job: ServiceJob) -> None:
+        """Flag *job*, which must still be queued, as cancelled."""
+        if not job.cancel_requested:
+            job.cancel_requested = True
+            self._live -= 1
 
     def __len__(self) -> int:
-        return sum(
-            sum(1 for job in lane if not job.cancel_requested) for lane in self._lanes.values()
-        )
+        return self._live
 
     def position(self, job: ServiceJob) -> int:
         """The job's position in its client's lane (0 = next), -1 if absent."""
@@ -136,6 +146,7 @@ class FairQueue:
         while lane:
             job = lane.popleft()
             if not job.cancel_requested:
+                self._live -= 1
                 return job
         return None
 

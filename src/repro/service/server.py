@@ -1,12 +1,19 @@
 """The asyncio job server and its background-thread harness.
 
 :class:`JobServer` accepts :class:`repro.api.ScheduleRequest` JSON over
-a small HTTP/1.1 API, queues it in the fair per-client queue, and drains
-the queue in rounds through :func:`repro.api.schedule_many` on a worker
+a small HTTP/1.1 API, queues it in the fair per-client queue, and runs
+each job through :func:`repro.api.schedule_many` on its own worker
 thread — the *exact* batch-runner path (shared persistent pool,
 machine interning, content-addressed result cache), so HTTP results are
 byte-identical to batch results and repeated submissions are cache
 hits.
+
+The dispatcher keeps up to ``max_batch`` jobs in flight.  Whenever a
+slot frees it takes the next fair-queue round for the free slots and
+starts each job on its own: a cache hit is answered from the cache in
+the server process, a miss runs on the warm worker pool, and each job
+is folded into its response as soon as it finishes, so a hit never
+waits behind a miss.
 
 Endpoints (all JSON, ``Connection: close``)::
 
@@ -23,13 +30,15 @@ Endpoints (all JSON, ``Connection: close``)::
                                           SchedulePolicy (body = dict or null)
     GET  /api/v1/stats                    queue depth, cache counters, clients
 
-Cancellation semantics: a queued job is cancelled immediately (it never
-runs).  A running job switches to ``cancelling``; the dispatcher cannot
-preempt the in-flight batch (scheduling is CPU-bound in worker
-processes), so the batch finishes, the job's result is *discarded*, and
-the job lands in ``cancelled`` with failure kind ``"cancelled"`` — the
-runner's taxonomy (error/timeout/crash/cancelled) passes through
-unchanged for all other failures.
+Cancellation applies per job: a queued job is cancelled immediately (it
+never runs).  A running job switches to ``cancelling``; the dispatcher
+cannot preempt it (scheduling is CPU-bound in a worker process), so the
+job finishes, its result is *discarded*, and it lands in ``cancelled``
+with failure kind ``"cancelled"``.  Other jobs in flight are untouched.
+The runner's taxonomy (error/timeout/crash) passes through unchanged for
+all other failures.  A fired timeout tears the shared worker pool down,
+so a miss running on the same pool at that moment fails too (``timeout``
+or ``crash``); the next miss gets a fresh pool.
 """
 
 from __future__ import annotations
@@ -37,8 +46,9 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+import traceback
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import repro
 from repro.api import JobStatus, ScheduleRequest, ScheduleResponse, schedule_many
@@ -57,9 +67,9 @@ class JobServer:
     :class:`~repro.config.RuntimeConfig`; ``runner`` and ``cache``
     default to the environment-configured batch runner and result cache
     (``REPRO_JOBS``, ``REPRO_CACHE``/``REPRO_CACHE_DIR``), exactly like
-    the batch entry points.  ``max_batch`` bounds the jobs dispatched
-    per fair-queue round (default: the runner's worker count, so a
-    round saturates the pool without letting one tenant monopolise it).
+    the batch entry points.  ``max_batch`` bounds the jobs in flight at
+    once (default: the runner's worker count, so concurrent misses
+    saturate the pool without letting one tenant monopolise it).
     """
 
     def __init__(
@@ -86,9 +96,11 @@ class JobServer:
         self.jobs: Dict[str, ServiceJob] = {}
         self.clients: Dict[str, ClientState] = {}
         self.cache_stats = CacheStats()
+        #: ``take_round`` calls that returned jobs.
         self.rounds_dispatched = 0
         self._counter = 0
-        self._running = 0
+        #: One task per running job; the dispatcher reaps the done ones.
+        self._in_flight: Set[asyncio.Task] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._wakeup: Optional[asyncio.Event] = None
@@ -106,7 +118,8 @@ class JobServer:
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
 
     async def stop(self) -> None:
-        """Stop accepting connections and wind the dispatcher down."""
+        """Stop accepting connections and cancel the dispatcher and the
+        jobs in flight."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -116,6 +129,11 @@ class JobServer:
                 await self._dispatcher
             except asyncio.CancelledError:
                 pass
+        tasks = list(self._in_flight)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._in_flight.clear()
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -130,6 +148,10 @@ class JobServer:
 
     def _now(self) -> float:
         return time.monotonic() - self._t0
+
+    @property
+    def _running(self) -> int:
+        return len(self._in_flight)
 
     # ------------------------------------------------------------------ #
     # HTTP plumbing
@@ -265,14 +287,15 @@ class JobServer:
     def _cancel(self, job: ServiceJob) -> Tuple[int, object]:
         if job.terminal:
             return 200, {"job": self._status(job).to_dict()}
-        job.cancel_requested = True
         if job.state == "queued":
+            self.queue.cancel(job)
             self._finish_cancelled(job, "cancelled while queued")
         else:
-            # Cooperative: the in-flight batch finishes, then the result
-            # is discarded and the job lands in ``cancelled``.
+            # Cooperative: the running job finishes, then its result is
+            # discarded and it lands in ``cancelled``.
+            job.cancel_requested = True
             job.state = "cancelling"
-            job.detail = "cancel requested; waiting for the in-flight batch"
+            job.detail = "cancel requested; waiting for the running job"
         return 200, {"job": self._status(job).to_dict()}
 
     def _set_policy(self, name: str, request: Request) -> Tuple[int, object]:
@@ -311,71 +334,88 @@ class JobServer:
     async def _dispatch_loop(self) -> None:
         assert self._wakeup is not None
         while True:
-            if not len(self.queue):
-                self._wakeup.clear()
+            # Submissions and finished jobs set the event; everything
+            # from here to the wait below runs without yielding.
+            self._wakeup.clear()
+            for task in [task for task in self._in_flight if task.done()]:
+                self._in_flight.discard(task)
+                task.result()
+            free = self.max_batch - len(self._in_flight)
+            jobs = self.queue.take_round(free) if free > 0 else []
+            if not jobs:
                 await self._wakeup.wait()
-            batch = self.queue.take_round(self.max_batch)
-            if not batch:
                 continue
+            self.rounds_dispatched += 1
             started = self._now()
-            for job in batch:
+            for job in jobs:
                 job.state = "running"
                 job.started_s = started
-            self._running = len(batch)
-            self.rounds_dispatched += 1
-            jobs = [replace(job.request.job(), job_id=job.job_id) for job in batch]
-            try:
-                result = await asyncio.to_thread(
-                    schedule_many, jobs, self.runner, self.cache, "capture"
-                )
-                self._fold(batch, result)
-            except Exception as exc:
-                # A failure of the batch machinery itself (not of a job)
-                # fails the whole round with the runner's error taxonomy.
-                for index, job in enumerate(batch):
-                    failure = JobFailure(
-                        index=index,
-                        job_id=job.job_id,
-                        kind="error",
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                    )
-                    self._finish_failure(job, failure)
-            finally:
-                self._running = 0
+                task = asyncio.create_task(self._run(job))
+                task.add_done_callback(self._job_finished)
+                self._in_flight.add(task)
 
-    def _fold(self, batch: List[ServiceJob], result: BatchResult) -> None:
-        failures = {failure.index: failure for failure in result.failures}
+    def _job_finished(self, _task: asyncio.Task) -> None:
+        assert self._wakeup is not None
+        self._wakeup.set()
+
+    async def _run(self, job: ServiceJob) -> None:
+        """Run one job through the batch path on a worker thread and fold it."""
+        try:
+            assert job.request is not None  # Released only here or on cancel.
+            schedule_job = replace(job.request.job(), job_id=job.job_id)
+            job.request = None
+            result = await asyncio.to_thread(
+                schedule_many, [schedule_job], self.runner, self.cache, "capture"
+            )
+            self._fold(job, result)
+        except Exception as exc:
+            # A failure of the batch machinery itself (not of the job).
+            failure = JobFailure(
+                index=0,
+                job_id=job.job_id,
+                kind="error",
+                error_type=type(exc).__name__,
+                message=str(exc),
+                traceback_text=traceback.format_exc(),
+            )
+            self._finish_failure(job, failure)
+
+    def _fold(self, job: ServiceJob, result: BatchResult) -> None:
+        """Turn the one-job batch *result* into *job*'s terminal state."""
         if result.cache is not None:
             self.cache_stats.merge(result.cache)
-        outcomes = result.cache_outcomes or [""] * len(batch)
-        for index, job in enumerate(batch):
-            if job.cancel_requested:
-                self._finish_cancelled(job, "cancelled while running; result discarded")
-                continue
-            value = result.values[index]
-            if value is None:
-                self._finish_failure(
-                    job,
-                    failures.get(index, JobFailure(index=index, job_id=job.job_id, kind="error")),
-                )
-                continue
-            now = self._now()
-            job.response = ScheduleResponse.from_result(
-                job.job_id, value, cache=outcomes[index], wall_s=now - job.started_s
+        if job.cancel_requested:
+            self._finish_cancelled(job, "cancelled while running; result discarded")
+            return
+        value = result.values[0]
+        if value is None:
+            failure = (
+                result.failures[0]
+                if result.failures
+                else JobFailure(index=0, job_id=job.job_id, kind="error")
             )
-            job.state = "done"
-            job.finished_s = now
-            client = self._client(job.client)
-            client.completed += 1
-            client.dp_work += value.work
-            if value.policy is not None and value.policy.get("partial_finalize"):
-                client.partial_finalizes += 1
-            assert isinstance(job.done, asyncio.Event)
-            job.done.set()
+            self._finish_failure(job, failure)
+            return
+        now = self._now()
+        job.response = ScheduleResponse.from_result(
+            job.job_id,
+            value,
+            cache=result.cache_outcomes[0] if result.cache_outcomes else "",
+            wall_s=now - job.started_s,
+        )
+        job.state = "done"
+        job.finished_s = now
+        client = self._client(job.client)
+        client.completed += 1
+        client.dp_work += value.work
+        if value.policy is not None and value.policy.get("partial_finalize"):
+            client.partial_finalizes += 1
+        assert isinstance(job.done, asyncio.Event)
+        job.done.set()
 
     def _finish_cancelled(self, job: ServiceJob, detail: str) -> None:
         now = self._now()
+        job.request = None
         job.state = "cancelled"
         job.detail = detail
         job.finished_s = now

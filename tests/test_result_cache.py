@@ -28,6 +28,7 @@ from repro.runner import (
     cache_enabled,
     default_cache_dir,
     enumerate_workload_jobs,
+    shared_pool_stats,
 )
 from repro.scheduler import VcsConfig, block_digest, machine_digest, schedule_cache_key
 from repro.workloads import GeneratorConfig, SuperblockGenerator
@@ -212,8 +213,8 @@ class TestStatsAndEnv:
 # --------------------------------------------------------------------------- #
 class TestParallelCache:
     def test_warm_hits_cross_process_boundary(self, tmp_path):
-        """Results stored by a serial run must be served as hits to pool
-        workers (the spec travels in the payload, not the environment)."""
+        """Results stored by a serial run must be served as hits to a
+        batch on a process pool (hits are read in the calling process)."""
         block = _random_block(11, 10, 3.0)
         machine = paper_2c_8i_1lat()
         jobs = _jobs_for(block, machine, "cars") + _jobs_for(block, machine, "vcs")
@@ -227,3 +228,26 @@ class TestParallelCache:
         for a, b in zip(cold.values, warm.values):
             assert a.fingerprint() == b.fingerprint()
             assert a.stats == b.stats
+
+    def test_warm_batch_never_touches_the_pool(self, tmp_path):
+        """Cache hits are answered in the calling process: a warm batch
+        neither spins the shared pool up nor dispatches a batch to it,
+        and only the misses of a mixed batch reach the workers."""
+        block = _random_block(12, 10, 3.0)
+        machine = paper_2c_8i_1lat()
+        jobs = _jobs_for(block, machine, "cars") + _jobs_for(block, machine, "vcs")
+        spec = CacheSpec(root=str(tmp_path))
+        runner = BatchScheduler(jobs=2)
+        cold = schedule_many(jobs, runner=runner, cache=spec)
+        before = shared_pool_stats()["2"]
+        warm = schedule_many(jobs, runner=runner, cache=spec)
+        assert shared_pool_stats()["2"] == before
+        assert warm.backend == "cache"
+        assert warm.cache_outcomes == ["hit", "hit"]
+        for a, b in zip(cold.values, warm.values):
+            assert a.fingerprint() == b.fingerprint()
+
+        extra = _jobs_for(_random_block(13, 10, 3.0), machine, "cars")
+        mixed = schedule_many(jobs + extra, runner=runner, cache=spec)
+        assert mixed.cache_outcomes == ["hit", "hit", "miss"]
+        assert shared_pool_stats()["2"]["batches_served"] == before["batches_served"] + 1

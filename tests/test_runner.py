@@ -8,7 +8,9 @@ and ``REPRO_JOBS`` environment handling.
 """
 
 import os
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -104,10 +106,14 @@ class TestDeterministicMerge:
             assert parallel.backend == "process"
         assert serial.backend == "serial"
 
-    def test_single_job_short_circuits_to_serial(self):
+    def test_single_job_runs_on_the_pool(self):
+        """Only a one-worker scheduler runs in the calling process; a
+        one-job batch still goes to the pool, where a timeout can preempt
+        it."""
         result = BatchScheduler(jobs=4).map(_double, [21])
         assert result.values == [42]
-        assert result.backend == "serial"
+        assert result.backend == "process"
+        assert BatchScheduler(jobs=1).map(_double, [21]).backend == "serial"
 
 
 # --------------------------------------------------------------------------- #
@@ -281,6 +287,29 @@ class TestPersistentPool:
         after = runner.map(_double, [5, 6])
         assert after.ok and after.values == [10, 12]
         assert shared_pool(2).spin_ups == 2
+
+    def test_stale_replace_keeps_the_fresh_executor(self, clean_pools):
+        """A batch that saw an executor break after another batch already
+        replaced it must not tear the replacement down."""
+        pool = shared_pool(2)
+        broken = pool.executor()
+        pool.replace(broken)
+        fresh = pool.executor()
+        pool.replace(broken)
+        assert pool.executor() is fresh and pool.spin_ups == 2
+
+    def test_batches_served_counts_concurrent_batches(self, clean_pools):
+        """Threads sharing one pool lose no ``batches_served`` update."""
+        runner = BatchScheduler(jobs=2, persistent=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as threads:
+                results = list(threads.map(lambda x: runner.map(_double, [x]), range(200)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.values for r in results] == [[2 * x] for x in range(200)]
+        assert shared_pool(2).batches_served == 200
 
     def test_timeout_replaces_pool_and_next_batch_recovers(self, clean_pools):
         runner = BatchScheduler(jobs=2, chunk_size=1, timeout=0.5, persistent=True)

@@ -10,9 +10,12 @@ that, the fair per-client queue must not let a slow tenant starve a
 fast one, a tenant's default :class:`SchedulePolicy` must follow its
 jobs (budget exhaustion lands as a ``finalize_partial`` result), and
 cancellation works both while queued (immediate) and mid-run
-(cooperative).
+(cooperative).  On a multi-worker pool, jobs overlap: a warm hit is
+answered while a miss is still running, and a per-job timeout preempts
+a running job without wedging the server.
 """
 
+import random
 import threading
 import time
 
@@ -20,7 +23,7 @@ import pytest
 
 from repro.api import ScheduleRequest, schedule_many
 from repro.machine import paper_2c_8i_1lat
-from repro.runner import BatchScheduler, CacheSpec, fingerprint_digest
+from repro.runner import BatchScheduler, CacheSpec, fingerprint_digest, shared_pool
 from repro.scheduler import VcsConfig
 from repro.scheduler.policy import SchedulePolicy
 from repro.service import ServerThread, ServiceClient, ServiceError
@@ -71,6 +74,46 @@ def server(tmp_path):
 
 
 @pytest.fixture()
+def pool_server(tmp_path):
+    """Two pool workers: misses run on the pool, hits in the server."""
+    with ServerThread(
+        runner=BatchScheduler(jobs=2), cache=CacheSpec(root=str(tmp_path / "cache"))
+    ) as thread:
+        yield thread
+
+
+def _wait_for(predicate, what, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        value = predicate()
+        if value:
+            return value
+        time.sleep(0.01)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+def _schedule_concurrently(url, requests):
+    """Two client threads, each scheduling every other request."""
+    responses = [None] * len(requests)
+
+    def worker(positions):
+        client = ServiceClient(url)
+        for index in positions:
+            responses[index] = client.schedule(requests[index])
+
+    threads = [
+        threading.Thread(target=worker, args=(range(start, len(requests), 2),))
+        for start in (0, 1)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    return responses
+
+
+@pytest.fixture()
 def serial_server(tmp_path):
     """One job per dispatch round — deterministic queue observation."""
     with ServerThread(
@@ -93,25 +136,23 @@ class TestHttpIdentity:
             _request(_slow_block(4), client="client-b"),
         ]
         reference = _batch_reference(requests)
-
-        responses = [None] * len(requests)
-
-        def worker(positions):
-            client = ServiceClient(server.url)
-            for index in positions:
-                responses[index] = client.schedule(requests[index])
-
-        threads = [
-            threading.Thread(target=worker, args=(range(start, len(requests), 2),))
-            for start in (0, 1)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
+        responses = _schedule_concurrently(server.url, requests)
         for response, (digest, work) in zip(responses, reference):
             assert response.state == "done"
+            assert response.digest == digest
+            assert response.work == work
+
+    def test_concurrent_clients_byte_identical_to_batch_on_the_pool(self, pool_server):
+        requests = [
+            _request(paper_figure1_block(), client="client-a"),
+            _request(dot_product_kernel(), client="client-b"),
+            _request(_slow_block(15), client="client-a"),
+            _request(_slow_block(16), client="client-b"),
+        ]
+        reference = _batch_reference(requests)
+        responses = _schedule_concurrently(pool_server.url, requests)
+        for response, (digest, work) in zip(responses, reference):
+            assert response.state == "done" and response.cache == "miss"
             assert response.digest == digest
             assert response.work == work
 
@@ -162,6 +203,70 @@ class TestHttpIdentity:
         with pytest.raises(ServiceError) as excinfo:
             ServiceClient(server.url).status("j-999999")
         assert excinfo.value.status == 404
+
+
+# --------------------------------------------------------------------------- #
+# overlap on the pool: per-job dispatch, hits answered in the server
+# --------------------------------------------------------------------------- #
+class TestOverlap:
+    def test_warm_hit_overtakes_a_running_miss(self, pool_server):
+        client = ServiceClient(pool_server.url)
+        hot = _request(paper_figure1_block(), client="hot")
+        assert client.schedule(hot).cache == "miss"
+        slow = client.submit(_request(_slow_block(12), client="cold"))
+        _wait_for(lambda: client.status(slow.job_id).state == "running", "the miss to start")
+        hit = client.submit(hot)
+        assert client.result(hit.job_id, timeout=60).cache == "hit"
+        assert client.result(slow.job_id, timeout=60).cache == "miss"
+        # The hit was submitted after the miss started and finished first.
+        assert client.status(hit.job_id).finished_s < client.status(slow.job_id).finished_s
+
+    def test_running_returns_to_zero_after_the_tasks_drain(self, pool_server):
+        client = ServiceClient(pool_server.url)
+        requests = [
+            _request(_slow_block(13), client="a"),
+            _request(_slow_block(21), client="b"),
+            _request(paper_figure1_block(), client="a"),
+            _request(dot_product_kernel(), client="b"),
+        ]
+        jobs = [client.submit(request) for request in requests]
+        running = client.stats()["running"]
+        assert 1 <= running <= client.stats()["max_batch"] == 2
+        for job in jobs:
+            assert client.result(job.job_id, timeout=60).state == "done"
+        _wait_for(lambda: client.stats()["running"] == 0, "the in-flight tasks to drain")
+        stats = client.stats()
+        assert stats["queue_depth"] == 0
+        assert 1 <= stats["rounds_dispatched"] <= len(requests)
+        assert not pool_server.server._in_flight
+
+
+# --------------------------------------------------------------------------- #
+# per-job timeout on the pool
+# --------------------------------------------------------------------------- #
+class TestTimeout:
+    def test_timeout_fails_the_job_and_the_next_runs_on_a_fresh_pool(self, tmp_path, monkeypatch):
+        """A fired timeout lands the job in ``failed`` (kind ``timeout``);
+        tearing the shared pool down also ends a miss running on it at the
+        same time (``timeout`` or ``crash``, never a hang), and the next
+        miss runs on a fresh pool."""
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        with ServerThread(job_timeout=0.3, cache=CacheSpec(root=str(tmp_path))) as thread:
+            client = ServiceClient(thread.url)
+            spin_ups = shared_pool(2).spin_ups
+            first = client.submit(_request(_slow_block(3), client="a"))
+            second = client.submit(_request(_slow_block(4), client="b"))
+            timed_out = client.result(first.job_id, timeout=60)
+            concurrent = client.result(second.job_id, timeout=60)
+            assert timed_out.state == "failed"
+            assert timed_out.failure["kind"] == "timeout"
+            assert concurrent.state == "failed"
+            assert concurrent.failure["kind"] in ("timeout", "crash")
+            assert client.client_state("a")["failed"] == 1
+
+            after = client.schedule(_request(paper_figure1_block()), timeout=60)
+            assert after.state == "done" and after.cache == "miss"
+            assert shared_pool(2).spin_ups > spin_ups
 
 
 # --------------------------------------------------------------------------- #
@@ -290,6 +395,25 @@ class TestFairness:
         second = ServiceJob(job_id="a-1", client="a", request=None)
         queue.push(first)
         queue.push(second)
-        first.cancel_requested = True
+        queue.cancel(first)
+        assert first.cancel_requested
         assert len(queue) == 1
         assert [job.job_id for job in queue.take_round(limit=4)] == ["a-1"]
+
+    def test_fair_queue_length_matches_a_brute_force_count(self):
+        rng = random.Random(5)
+        queue = FairQueue()
+        for step in range(2000):
+            lanes = [job for lane in queue._lanes.values() for job in lane]
+            action = rng.random()
+            if action < 0.5:
+                queue.push(ServiceJob(job_id=f"j-{step}", client=rng.choice("abcd"), request=None))
+            elif action < 0.75 and lanes:
+                job = rng.choice(lanes)
+                queue.cancel(job)
+                queue.cancel(job)  # Idempotent.
+            else:
+                taken = queue.take_round(rng.randint(0, 3))
+                assert not any(job.cancel_requested for job in taken)
+            live = [job for lane in queue._lanes.values() for job in lane]
+            assert len(queue) == sum(1 for job in live if not job.cancel_requested)
