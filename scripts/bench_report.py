@@ -1,94 +1,105 @@
 #!/usr/bin/env python
 """Hot-path benchmark report: emit ``BENCH_vcs.json``.
 
-Runs the proposed scheduler over the paper's three machine configurations
-(2c-8i-1lat, 4c-16i-1lat, 4c-16i-2lat) on the hand-written kernels plus a
-seeded synthetic workload, and records for each configuration:
+Runs every registered scheduler backend (``cars``/``vcs``/``list``/
+``hybrid``) once, serially, over the paper's three machine
+configurations (2c-8i-1lat, 4c-16i-1lat, 4c-16i-2lat) on the hand-written
+kernels plus a seeded synthetic workload.  That one sweep feeds:
 
-* wall time and schedules/second,
-* deterministic DP work (deduction rule firings), including the per-rule-
-  class split (``dp_rule_<RuleName>`` counters),
-* trail counters (probes, rollbacks, redos) and early-cut counters, plus
-  the share of the VCS stage wall spent in the two probing stages
-  (fix-cycles + fix-communications),
-* total AWCT (quality invariance check),
-* a SHA-256 digest of every produced schedule (the byte-identity key the
-  CI perf-regression gate compares).
+* ``backends`` — per backend and machine: wall time, deterministic
+  ``dp_work`` and a SHA-256 digest of every produced schedule (gated),
+  plus the VCS pipeline's per-decision-stage wall-time breakdown
+  (reported only);
+* ``trail`` — the proposed scheduler's rows: wall time, schedules/second,
+  ``dp_work``, total AWCT, the summed deduction counters and the
+  schedule digest the CI perf-regression gate compares;
+* ``deduction`` — the per-rule-class ``dp_work`` split, probe/rollback/
+  redo/early-cut counters and the share of the VCS stage wall spent in
+  the two probing stages (fix-cycles + fix-communications);
+* ``policy`` — the anytime-quality curve of the budget-policy layer:
+  each block re-scheduled under a ``finalize_partial`` policy at
+  25/50/75/100% of its own full-run ``dp_work``, with mean AWCT ratios
+  vs the full run and vs pure CARS, tier transitions and the
+  partial-finalize rate (the gate requires the section and warns on
+  curve drift).
 
-A registry sweep additionally runs every scheduler backend
-(``cars``/``vcs``/``list``/``hybrid``) over the same workload and records
-per-backend ``dp_work`` and schedule digests (gated) plus the VCS
-pipeline's per-decision-stage wall-time breakdown (reported only).
+``parallel`` re-runs the vcs workload once on the warm shared worker
+pool and records its throughput against the serial sweep, plus whether
+every schedule is byte-identical to it.
 
-A scenario-matrix sample (``ring``/``p2p`` machine families crossed with
-the ``membound``/``exitdense`` workload families) records a gated
-``dp_work`` + schedule digest per (machine, workload family, backend)
-cell, so interconnect-topology and workload-family behaviour is
-byte-tracked like the default configurations.
-
-A ``policy`` section records the anytime-quality curve of the budget
-policy layer: each block re-scheduled under a ``finalize_partial``
-policy at 25/50/75/100% of its own full-run ``dp_work``, with mean AWCT
-ratios vs the full run and vs pure CARS, tier transitions and the
-partial-finalize rate (the gate requires the section and warns on curve
-drift).
-
-The vcs workload is run twice through the parallel batch runner
-(``repro.runner``): once serially and once with ``--jobs`` workers, so
-the report also records the sharded runner's wall-time throughput and
-verifies that parallel execution leaves every schedule byte-identical.
-
-Optionally (``--baseline-rev``, default the repository's seed commit) the
-same workload is also run against a past git revision in a subprocess, so
-the report demonstrates the wall-time speedup of the current hot path and
-verifies that the produced schedules are byte-identical to the baseline's.
+The gated scenario-matrix sample (``ring``/``p2p`` machine families
+crossed with the ``membound``/``exitdense`` workload families) runs
+twice against a fresh temporary result cache: the cold pass feeds
+``scenarios`` (per-cell ``dp_work`` + digest) and stores every cell, the
+warm pass must be served entirely from the cache (``runner.matrix``).
+``service`` then submits the same jobs to a live HTTP job server (its
+own fresh cache) from concurrent clients, cold then warm, and records
+per-pass digests over every response for comparison with the cold
+batch pass, job by job.
 
 Usage::
 
     PYTHONPATH=src python scripts/bench_report.py            # full report
-    PYTHONPATH=src python scripts/bench_report.py --skip-baseline --jobs 4
+    PYTHONPATH=src python scripts/bench_report.py --jobs 4
     REPRO_BENCH_BLOCKS=4 PYTHONPATH=src python scripts/bench_report.py
 
 The perf smoke job of CI runs this with ``REPRO_BENCH_BLOCKS=1`` and
-``REPRO_JOBS=2``, gates on the result with
+``REPRO_JOBS`` of 1 and 2, gates on the result with
 ``scripts/check_perf_regression.py`` and uploads the JSON as an
-artifact, tracking the trajectory from PR 1 onward.
+artifact.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
-import subprocess
 import sys
-import tarfile
 import tempfile
+import threading
 import time
+from collections import Counter
 from pathlib import Path
+from typing import List, Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if not any((Path(p) / "repro").is_dir() for p in sys.path if p):
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-#: The v0 seed revision: copy-per-probe deduction, linear rule dispatch.
-DEFAULT_BASELINE_REV = "746df46"
+from repro.analysis.experiments import run_scenario_matrix, scenario_matrix_jobs  # noqa: E402
+from repro.api import ScheduleRequest, ScheduleResponse, schedule_many  # noqa: E402
+from repro.machine import paper_4c_16i_1lat, paper_configurations  # noqa: E402
+from repro.runner import (  # noqa: E402
+    BatchScheduler,
+    CacheSpec,
+    CacheStats,
+    ScheduleJob,
+    fingerprint_digest,
+    resolve_jobs,
+    schedule_job_id,
+)
+from repro.scheduler import (  # noqa: E402
+    SchedulePolicy,
+    VcsConfig,
+    VirtualClusterScheduler,
+    available_backends,
+    create,
+)
+from repro.service import ServerThread, ServiceClient  # noqa: E402
+from repro.workloads import (  # noqa: E402
+    dct_butterfly_kernel,
+    dot_product_kernel,
+    fir_kernel,
+    paper_figure1_block,
+    string_search_kernel,
+)
+from repro.workloads.synth import GeneratorConfig, SuperblockGenerator  # noqa: E402
 
-# --------------------------------------------------------------------------- #
-# the measurement driver (run in-process for the current tree and as a
-# subprocess for the baseline revision — the same code path for fairness)
-# --------------------------------------------------------------------------- #
-DRIVER = r"""
-import json, sys, time
 
-
-def build_workload(n_synth):
-    from repro.workloads import (
-        paper_figure1_block, fir_kernel, dot_product_kernel,
-        dct_butterfly_kernel, string_search_kernel,
-    )
-    from repro.workloads.synth import SuperblockGenerator, GeneratorConfig
-
+def build_workload(n_synth: int) -> list:
+    """The bench workload: five hand-written kernels plus *n_synth*
+    seeded synthetic superblocks."""
     blocks = [
         paper_figure1_block(),
         fir_kernel(taps=3),
@@ -97,138 +108,46 @@ def build_workload(n_synth):
         string_search_kernel(),
     ]
     gen = SuperblockGenerator(GeneratorConfig(min_ops=24, max_ops=48), seed=7)
-    blocks += gen.generate_many("bench-synth", n_synth)
-    return blocks
+    return blocks + gen.generate_many("bench-synth", n_synth)
 
 
-def schedule_all(blocks, machine):
-    # All proposed-scheduler results for one machine, in block order.
-    # Shards across the parallel batch runner when the tree has one
-    # (REPRO_JOBS workers); old revisions fall back to the serial loop.
-    try:
-        from repro.runner import BatchScheduler, ScheduleJob, run_schedule_job, schedule_job_id
-    except ImportError:
-        from repro.scheduler import VirtualClusterScheduler
-        return [VirtualClusterScheduler().schedule(block, machine) for block in blocks]
-    jobs = [
-        ScheduleJob(
-            job_id=schedule_job_id("vcs", "bench", machine.name, index, block.name),
-            scheduler="vcs",
-            block=block,
-            machine=machine,
-            check_schedule=False,
-        )
-        for index, block in enumerate(blocks)
+def trail_fingerprint(block, result) -> list:
+    """One block's entry of the ``trail`` digest.
+
+    The layout predates :meth:`ScheduleResult.fingerprint` and is kept so
+    the committed ``trail`` digests stay comparable."""
+    s = result.schedule
+    return [
+        block.name,
+        sorted(s.cycles.items()) if s else None,
+        sorted(s.clusters.items()) if s else None,
+        sorted(
+            (c.value, c.producer, c.cycle, c.src_cluster, c.dst_cluster)
+            for c in (s.comms if s else [])
+        ),
     ]
-    return BatchScheduler().map(run_schedule_job, jobs).values
 
 
-def main(mode, n_synth, out_path):
-    from repro.machine import paper_2c_8i_1lat, paper_4c_16i_1lat, paper_4c_16i_2lat
+def measure_backends(blocks: list, machines: list):
+    """Serial sweep of every registered scheduler backend.
 
-    machines = [paper_2c_8i_1lat(), paper_4c_16i_1lat(), paper_4c_16i_2lat()]
-    blocks = build_workload(n_synth)
-    report = {"mode": mode, "machines": []}
-    for machine in machines:
-        runs, work, fingerprints = 0, 0, []
-        stats_total = {}
-        awct_total = 0.0
-        t0 = time.perf_counter()
-        for block, result in zip(blocks, schedule_all(blocks, machine)):
-            runs += 1
-            work += result.work
-            awct_total += result.awct if result.ok else 0.0
-            for key, value in getattr(result, "stats", {}).items():
-                stats_total[key] = stats_total.get(key, 0) + value
-            s = result.schedule
-            fingerprints.append([
-                block.name,
-                sorted(s.cycles.items()) if s else None,
-                sorted(s.clusters.items()) if s else None,
-                sorted(
-                    (c.value, c.producer, c.cycle, c.src_cluster, c.dst_cluster)
-                    for c in (s.comms if s else [])
-                ),
-            ])
-        wall = time.perf_counter() - t0
-        report["machines"].append({
-            "machine": machine.name,
-            "wall_time_s": wall,
-            "schedules": runs,
-            "schedules_per_sec": runs / wall if wall > 0 else None,
-            "dp_work": work,
-            "awct_total": awct_total,
-            "stats": stats_total,
-            "fingerprints": fingerprints,
-        })
-    json.dump(report, open(out_path, "w"))
-
-
-if __name__ == "__main__":
-    main(sys.argv[1], int(sys.argv[2]), sys.argv[3])
-"""
-
-
-def run_driver(python_path: str, mode: str, n_synth: int, jobs: int = 1) -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        driver = Path(tmp) / "driver.py"
-        out = Path(tmp) / "out.json"
-        driver.write_text(DRIVER)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = python_path
-        env["REPRO_JOBS"] = str(jobs)
-        subprocess.run(
-            [sys.executable, str(driver), mode, str(n_synth), str(out)],
-            check=True,
-            env=env,
-        )
-        return json.loads(out.read_text())
-
-
-def export_revision(rev: str) -> tempfile.TemporaryDirectory:
-    """Materialise *rev* into a temporary directory via ``git archive``."""
-    tmp = tempfile.TemporaryDirectory(prefix=f"bench-baseline-{rev}-")
-    archive = subprocess.run(
-        ["git", "archive", rev],
-        check=True,
-        cwd=REPO_ROOT,
-        stdout=subprocess.PIPE,
-    )
-    with tempfile.NamedTemporaryFile(suffix=".tar") as tar_file:
-        tar_file.write(archive.stdout)
-        tar_file.flush()
-        with tarfile.open(tar_file.name) as tar:
-            tar.extractall(tmp.name)
-    return tmp
-
-
-def measure_backends(n_synth: int) -> dict:
-    """Serial sweep of every registered scheduler backend over the bench
-    workload (current tree only — old revisions predate the registry).
-
-    Returns, per backend and machine, the deterministic ``dp_work`` and a
-    SHA-256 digest of every :class:`ScheduleResult` fingerprint (gated by
-    the CI perf-regression gate), the wall time (reported, not gated),
-    and — for the VCS pipeline — aggregated per-decision-stage call
-    counts and wall times."""
-    from repro.machine import paper_configurations
-    from repro.runner import fingerprint_digest
-    from repro.scheduler import available_backends, create
-
-    # build_workload is shared with the DRIVER for workload parity.
-    namespace: dict = {"__name__": "bench_driver"}
-    exec(compile(DRIVER, "<driver>", "exec"), namespace)
-    blocks = namespace["build_workload"](n_synth)
-
+    Returns the ``backends`` section — per backend and machine the
+    deterministic ``dp_work`` and a SHA-256 digest of every result
+    fingerprint (gated), the wall time (reported, not gated) and, for the
+    VCS pipeline, aggregated per-decision-stage call counts and wall
+    times — plus the raw ``(results, wall)`` per ``(backend, machine
+    name)`` that the other legs reuse instead of recomputing."""
     backends: dict = {}
+    runs: dict = {}
     for name in available_backends():
         backend = create(name)
         per_machine = []
         stage_totals: dict = {}
-        for machine in paper_configurations():
+        for machine in machines:
             t0 = time.perf_counter()
             results = [backend.schedule(block, machine) for block in blocks]
             wall = time.perf_counter() - t0
+            runs[name, machine.name] = (results, wall)
             for result in results:
                 for stage, entry in result.stage_timings.items():
                     slot = stage_totals.setdefault(stage, {"calls": 0, "wall_time_s": 0.0})
@@ -247,84 +166,43 @@ def measure_backends(n_synth: int) -> dict:
         if stage_totals:
             entry["stage_timings"] = stage_totals
         backends[name] = entry
-    return backends
+    return backends, runs
 
 
-#: The gated scenario sample: every machine of these families crossed with
-#: these workload families (>= 2 interconnect topologies x >= 2 workload
-#: families).  Fixed block count so the committed digests are environment
-#: independent (REPRO_BENCH_BLOCKS scales only the main bench workload).
-SCENARIO_MACHINE_FAMILIES = ("ring", "p2p")
-SCENARIO_WORKLOAD_FAMILIES = ("membound", "exitdense")
-SCENARIO_BACKENDS = ("vcs",)
-SCENARIO_BLOCKS = 1
+def trail_section(blocks: list, machines: list, runs: dict) -> dict:
+    """The proposed scheduler's per-machine rows, from the serial sweep."""
+    rows = []
+    for machine in machines:
+        results, wall = runs["vcs", machine.name]
+        stats: Counter = Counter()
+        for result in results:
+            stats.update(result.stats)
+        rows.append(
+            {
+                "machine": machine.name,
+                "wall_time_s": wall,
+                "schedules": len(results),
+                "schedules_per_sec": len(results) / wall if wall > 0 else None,
+                "dp_work": sum(r.work for r in results),
+                "awct_total": sum(r.awct if r.ok else 0.0 for r in results),
+                "stats": dict(stats),
+                "schedule_digest": fingerprint_digest(
+                    trail_fingerprint(block, result) for block, result in zip(blocks, results)
+                ),
+            }
+        )
+    return {"machines": rows}
 
 
-def measure_scenarios() -> dict:
-    """The scenario-matrix sweep the CI gate records (current tree only).
+def measure_parallel(blocks: list, machines: list, runs: dict, workers: int) -> dict:
+    """The vcs workload once more, on the warm shared pool.
 
-    Runs the proposed backend over a small sample of the scenario matrix —
-    ring and point-to-point machines crossed with the memory-bound and
-    exit-dense workload families — and records each cell's deterministic
-    ``dp_work`` and schedule digest.  Wall time is reported, not gated."""
-    from repro.analysis.experiments import run_scenario_matrix
-
-    t0 = time.perf_counter()
-    cells, _records = run_scenario_matrix(
-        SCENARIO_MACHINE_FAMILIES,
-        SCENARIO_WORKLOAD_FAMILIES,
-        backends=SCENARIO_BACKENDS,
-        blocks_per_benchmark=SCENARIO_BLOCKS,
-    )
-    return {
-        "config": {
-            "machine_families": list(SCENARIO_MACHINE_FAMILIES),
-            "workload_families": list(SCENARIO_WORKLOAD_FAMILIES),
-            "backends": list(SCENARIO_BACKENDS),
-            "blocks_per_benchmark": SCENARIO_BLOCKS,
-        },
-        "wall_time_s": time.perf_counter() - t0,
-        "cells": [cell.as_row() for cell in cells],
-    }
-
-
-def measure_runner(n_synth: int, jobs: int) -> dict:
-    """The runner-layer performance section (current tree only).
-
-    Three measurements, all on the bench workload with the result cache
-    disabled unless stated:
-
-    * **pool** — the same job stream run as several small batches on the
-      shared persistent pool (one executor spin-up, reused) vs with a
-      fresh ``ProcessPoolExecutor`` per batch (the historical mode); the
-      wall-time ratio is the price per-batch spin-up used to charge.
-    * **parallel** — warm-pool parallel vs serial wall over the whole
-      workload.  The throughput ratio is gated ≥ 1.0 on multi-core hosts
-      and *honestly skipped* (explicit ``skipped`` reason) on 1-CPU
-      hosts, where a "speedup" would really measure pool overhead.
-      Schedule byte-identity serial-vs-parallel is always asserted.
-    * **matrix** — the gated 12-cell scenario sample run twice against a
-      fresh temp cache: the cold leg computes and stores, the warm leg
-      must be 100% cache hits (``warm_recomputed == 0``) with
-      byte-identical cell digests.
-    """
-    from repro.analysis.experiments import run_scenario_matrix
-    from repro.machine import paper_configurations
-    from repro.api import schedule_many
-    from repro.runner import (
-        BatchScheduler,
-        CacheSpec,
-        CacheStats,
-        ScheduleJob,
-        schedule_job_id,
-        shared_pool_stats,
-        shutdown_shared_pools,
-    )
-
-    namespace: dict = {"__name__": "bench_driver"}
-    exec(compile(DRIVER, "<driver>", "exec"), namespace)
-    blocks = namespace["build_workload"](n_synth)
-    job_list = [
+    Records the wall-time throughput against the serial sweep and whether
+    every result (schedule and ``dp_work``) is byte-identical to it.  The
+    throughput ratio is gated >= 1.0 on multi-CPU hosts and skipped with
+    an explicit reason on 1-CPU hosts, where a "speedup" would really
+    measure pool overhead."""
+    jobs = [
         ScheduleJob(
             job_id=schedule_job_id("vcs", "bench", machine.name, index, block.name),
             scheduler="vcs",
@@ -332,111 +210,169 @@ def measure_runner(n_synth: int, jobs: int) -> dict:
             machine=machine,
             check_schedule=False,
         )
-        for machine in paper_configurations()
+        for machine in machines
         for index, block in enumerate(blocks)
     ]
+    runner = BatchScheduler(jobs=workers)
     no_cache = CacheSpec.disabled()
+    # Spin the shared pool up first, so the timed pass runs on warm workers.
+    schedule_many(jobs[:workers], runner=runner, cache=no_cache)
+    t0 = time.perf_counter()
+    parallel = schedule_many(jobs, runner=runner, cache=no_cache).values
+    wall = time.perf_counter() - t0
+
+    serial = [result for machine in machines for result in runs["vcs", machine.name][0]]
+    serial_wall = sum(runs["vcs", machine.name][1] for machine in machines)
     cpu_count = os.cpu_count() or 1
-    n_batches = 4
-    batches = [job_list[i::n_batches] for i in range(n_batches)]
-
-    # --- pool reuse vs per-batch spin-up ------------------------------- #
-    shutdown_shared_pools()
-    reused_runner = BatchScheduler(jobs=jobs, persistent=True)
-    # Warm-up batch: spin the shared pool up and pre-import the workers,
-    # so the reuse leg measures steady-state batches, not the first spin-up.
-    schedule_many(job_list[:2], runner=reused_runner, cache=no_cache)
-    t0 = time.perf_counter()
-    for batch in batches:
-        schedule_many(batch, runner=reused_runner, cache=no_cache)
-    reused_wall = time.perf_counter() - t0
-    pool_stats = shared_pool_stats()
-
-    fresh_runner = BatchScheduler(jobs=jobs, persistent=False)
-    t0 = time.perf_counter()
-    for batch in batches:
-        schedule_many(batch, runner=fresh_runner, cache=no_cache)
-    fresh_wall = time.perf_counter() - t0
-
-    pool = {
-        "jobs": jobs,
-        "batches": n_batches,
-        "batch_jobs": len(job_list),
-        "reused_pool_wall_s": reused_wall,
-        "fresh_pool_wall_s": fresh_wall,
-        "reuse_speedup_vs_fresh": fresh_wall / reused_wall if reused_wall else None,
-        "shared_pool_stats": pool_stats,
-    }
-
-    # --- warm-pool parallel vs serial throughput ----------------------- #
-    serial_runner = BatchScheduler(jobs=1)
-    t0 = time.perf_counter()
-    serial_batch = schedule_many(job_list, runner=serial_runner, cache=no_cache)
-    serial_wall = time.perf_counter() - t0
-    # The shared pool is already warm from the pool measurement above.
-    t0 = time.perf_counter()
-    parallel_batch = schedule_many(job_list, runner=reused_runner, cache=no_cache)
-    parallel_wall = time.perf_counter() - t0
-    identical = [r.fingerprint() for r in serial_batch.values] == [
-        r.fingerprint() for r in parallel_batch.values
-    ]
-    parallel = {
-        "jobs": jobs,
+    section = {
+        "jobs": workers,
         "cpu_count": cpu_count,
-        "serial_wall_s": serial_wall,
-        "warm_parallel_wall_s": parallel_wall,
-        "schedules_identical_serial_vs_parallel": identical,
+        "wall_time_s": wall,
+        "serial_wall_time_s": serial_wall,
+        "schedules_identical_serial_vs_parallel": (
+            [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
+        ),
     }
     if cpu_count <= 1:
-        parallel["throughput_speedup_vs_serial"] = None
-        parallel["skipped"] = (
-            "single-CPU host: parallel wall time measures pool overhead, "
-            "not speedup"
+        section["throughput_speedup_vs_serial"] = None
+        section["skipped"] = (
+            "single-CPU host: parallel wall time measures pool overhead, not speedup"
         )
     else:
-        parallel["throughput_speedup_vs_serial"] = (
-            serial_wall / parallel_wall if parallel_wall else None
-        )
+        section["throughput_speedup_vs_serial"] = serial_wall / wall if wall else None
+    return section
 
-    # --- warm vs cold matrix re-run through the result cache ----------- #
+
+#: The gated scenario sample: every machine of these families crossed with
+#: these workload families (>= 2 interconnect topologies x >= 2 workload
+#: families).  Fixed block count so the committed digests are environment
+#: independent (REPRO_BENCH_BLOCKS scales only the main bench workload).
+#: The keys are the keyword arguments of ``run_scenario_matrix`` and
+#: ``scenario_matrix_jobs``; the dict is also the report's
+#: ``scenarios.config``.
+SCENARIO_CONFIG = {
+    "machine_families": ["ring", "p2p"],
+    "workload_families": ["membound", "exitdense"],
+    "backends": ["vcs"],
+    "blocks_per_benchmark": 1,
+}
+
+
+def measure_matrix(workers: int):
+    """The gated scenario sample, cold then warm, against a fresh cache.
+
+    The cold pass computes and stores every cell; its cells are the
+    gated ``scenarios`` section.  The warm pass must be served entirely
+    from the cache with identical cells (``runner.matrix``, gated on the
+    cache counters and the two cell digests).  Also returns the cold
+    pass's per-job ``[digest, dp_work]`` keyed by job id, the reference
+    the HTTP passes are compared with."""
+    runner = BatchScheduler(jobs=workers)
+    passes = []
     with tempfile.TemporaryDirectory(prefix="bench-cache-") as tmp:
-        spec = CacheSpec(root=tmp, enabled=True)
-        cold_stats = CacheStats()
-        t0 = time.perf_counter()
-        cold_cells, _ = run_scenario_matrix(
-            SCENARIO_MACHINE_FAMILIES,
-            SCENARIO_WORKLOAD_FAMILIES,
-            backends=SCENARIO_BACKENDS,
-            blocks_per_benchmark=SCENARIO_BLOCKS,
-            cache=spec,
-            cache_stats=cold_stats,
-        )
-        cold_wall = time.perf_counter() - t0
-        warm_stats = CacheStats()
-        t0 = time.perf_counter()
-        warm_cells, _ = run_scenario_matrix(
-            SCENARIO_MACHINE_FAMILIES,
-            SCENARIO_WORKLOAD_FAMILIES,
-            backends=SCENARIO_BACKENDS,
-            blocks_per_benchmark=SCENARIO_BLOCKS,
-            cache=spec,
-            cache_stats=warm_stats,
-        )
-        warm_wall = time.perf_counter() - t0
+        spec = CacheSpec(root=tmp)
+        for _ in ("cold", "warm"):
+            stats = CacheStats()
+            t0 = time.perf_counter()
+            cells, records = run_scenario_matrix(
+                **SCENARIO_CONFIG, runner=runner, cache=spec, cache_stats=stats
+            )
+            rows = [cell.as_row() for cell in cells]
+            passes.append((rows, records, stats, time.perf_counter() - t0))
+    (cold_rows, cold_records, cold_stats, cold_wall), (warm_rows, _, warm_stats, warm_wall) = passes
+
+    scenarios = {"config": SCENARIO_CONFIG, "wall_time_s": cold_wall, "cells": cold_rows}
     matrix = {
-        "cells": len(cold_cells),
+        "cells": len(cold_rows),
+        "workers": workers,
         "cold_wall_s": cold_wall,
         "warm_wall_s": warm_wall,
         "warm_speedup_vs_cold": cold_wall / warm_wall if warm_wall else None,
         "cold_cache": cold_stats.to_dict(),
         "warm_cache": warm_stats.to_dict(),
-        "warm_recomputed": warm_stats.misses,
-        "digests_identical_warm_vs_cold": (
-            [cell.as_row() for cell in cold_cells]
-            == [cell.as_row() for cell in warm_cells]
-        ),
+        "cold_cells_digest": fingerprint_digest(cold_rows),
+        "warm_cells_digest": fingerprint_digest(warm_rows),
     }
-    return {"pool": pool, "parallel": parallel, "matrix": matrix}
+    per_job = {
+        schedule_job_id(
+            record.backend, record.workload.name, record.machine.name, index, block.name
+        ): [fingerprint_digest([result.fingerprint()]), result.work]
+        for record in cold_records
+        for index, (block, result) in enumerate(zip(record.workload.blocks, record.results))
+    }
+    return scenarios, matrix, per_job
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The q-quantile (0 < q <= 1) by the nearest-rank method."""
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+    return ordered[rank]
+
+
+def latency_summary(latencies: Sequence[float]) -> dict:
+    return {
+        "p50_s": percentile(latencies, 0.50),
+        "p99_s": percentile(latencies, 0.99),
+        "max_s": max(latencies) if latencies else 0.0,
+    }
+
+
+def http_pass(url: str, jobs: Sequence[ScheduleJob], clients: int) -> dict:
+    """Submit every job over HTTP from ``clients`` concurrent threads.
+
+    Jobs are strided across clients (client ``c`` takes positions ``c,
+    c+clients, …``), each submitted and long-polled to completion.
+    Returns the pass's section: submission errors, response states and
+    cache outcomes, latency percentiles and ``jobs_digest`` — the digest
+    over every job's ``[job id, response digest, dp_work]`` in job
+    order, comparable to the batch side's."""
+    responses: List[Optional[ScheduleResponse]] = [None] * len(jobs)
+    latencies: List[float] = [0.0] * len(jobs)
+    errors: List[str] = []
+    lock = threading.Lock()
+
+    def worker(name: str, positions: range) -> None:
+        client = ServiceClient(url)
+        for index in positions:
+            request = ScheduleRequest.from_job(jobs[index], client=name)
+            begin = time.perf_counter()
+            try:
+                response = client.schedule(request)
+            except Exception as exc:  # noqa: BLE001 - report, don't crash the bench
+                with lock:
+                    errors.append(f"{jobs[index].job_id} via {name}: {exc}")
+                continue
+            latencies[index] = time.perf_counter() - begin
+            responses[index] = response
+
+    threads = [
+        threading.Thread(
+            target=worker,
+            args=(f"client-{c}", range(c, len(jobs), clients)),
+            name=f"bench-service-client-{c}",
+        )
+        for c in range(clients)
+    ]
+    t0 = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    answered = [r for r in responses if r is not None]
+    return {
+        "wall_s": time.perf_counter() - t0,
+        "submission_errors": errors,
+        "states": dict(Counter(r.state for r in answered)),
+        "cache": dict(Counter(r.cache for r in answered)),
+        "jobs_digest": fingerprint_digest(
+            [job.job_id, r.digest, r.work] if r is not None else [job.job_id, None, None]
+            for job, r in zip(jobs, responses)
+        ),
+        "latency": latency_summary(latencies),
+    }
 
 
 #: Concurrent HTTP clients of the service load benchmark (the gate
@@ -444,81 +380,31 @@ def measure_runner(n_synth: int, jobs: int) -> dict:
 SERVICE_CLIENTS = 4
 
 
-def measure_service(jobs: int, n_clients: int = SERVICE_CLIENTS) -> dict:
-    """The HTTP job-server load benchmark (current tree only).
+def measure_service(per_job: dict, workers: int, n_clients: int = SERVICE_CLIENTS) -> dict:
+    """The HTTP job-server load benchmark.
 
-    Submits the gated 12-cell scenario sample (the same flat job list
-    as the ``matrix`` measurement) to a live in-process
+    Submits the gated 12-cell scenario sample to a live in-process
     :class:`repro.service.JobServer` with a fresh temp result cache,
-    from ``n_clients`` concurrent clients: a cold pass that computes
-    and stores, then a warm pass that must be served 100% from cache.
-    Gated: the aggregate HTTP schedule digest and ``dp_work`` must be
-    byte-identical to the batch path's, and the warm hit rate must be
-    1.0.  Submit-to-result latency percentiles are reported, not gated.
-    """
-    # Runs as a script, so the scripts directory is on sys.path.
-    from check_service_identity import batch_reference, http_pass, latency_summary
-
-    from repro.analysis.experiments import scenario_matrix_jobs
-    from repro.runner import BatchScheduler, CacheSpec, fingerprint_digest
-    from repro.service import ServerThread
-
-    job_list = scenario_matrix_jobs(
-        SCENARIO_MACHINE_FAMILIES,
-        SCENARIO_WORKLOAD_FAMILIES,
-        SCENARIO_BACKENDS,
-        blocks_per_benchmark=SCENARIO_BLOCKS,
-    )
-    reference = batch_reference(job_list, jobs)
+    from ``n_clients`` concurrent clients: a cold pass that computes and
+    stores, then a warm pass that must be served 100% from cache.  The
+    gate compares each pass's ``jobs_digest`` with
+    ``batch_jobs_digest``, built the same way from the cold batch
+    matrix pass (*per_job*).  Latency percentiles are reported, not
+    gated."""
+    jobs = scenario_matrix_jobs(**SCENARIO_CONFIG)
     with tempfile.TemporaryDirectory(prefix="bench-service-") as tmp:
-        with ServerThread(
-            runner=BatchScheduler(jobs=jobs), cache=CacheSpec(root=tmp)
-        ) as server:
-            t0 = time.perf_counter()
-            cold_responses, cold_latencies, cold_errors = http_pass(
-                server.url, job_list, n_clients
-            )
-            cold_wall = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            warm_responses, warm_latencies, warm_errors = http_pass(
-                server.url, job_list, n_clients
-            )
-            warm_wall = time.perf_counter() - t0
-
-    def pass_section(responses, latencies, errors, wall):
-        done = [r for r in responses if r is not None and r.state == "done"]
-        return {
-            "wall_s": wall,
-            "completed": len(done),
-            "errors": len(errors) + sum(1 for r in responses if r is None),
-            "cache_hits": sum(1 for r in done if r.cache == "hit"),
-            # A digest over the per-job digests (one per response, in
-            # submission order) — comparable to the batch-side ``digest``.
-            "http_digest": fingerprint_digest([r.digest for r in done]),
-            "http_dp_work": sum(r.work for r in done),
-            "latency": latency_summary(latencies),
-        }
-
-    cold = pass_section(cold_responses, cold_latencies, cold_errors, cold_wall)
-    warm = pass_section(warm_responses, warm_latencies, warm_errors, warm_wall)
-    n_jobs = len(job_list)
+        with ServerThread(runner=BatchScheduler(jobs=workers), cache=CacheSpec(root=tmp)) as server:
+            cold = http_pass(server.url, jobs, n_clients)
+            warm = http_pass(server.url, jobs, n_clients)
     return {
         "clients": n_clients,
-        "workers": jobs,
-        "jobs": n_jobs,
-        "digest": fingerprint_digest([r["digest"] for r in reference]),
-        "dp_work": sum(r["dp_work"] for r in reference),
+        "workers": workers,
+        "jobs": len(jobs),
+        "batch_jobs_digest": fingerprint_digest(
+            [job.job_id, *per_job[job.job_id]] for job in jobs
+        ),
         "cold": cold,
         "warm": warm,
-        "warm_hit_rate": warm["cache_hits"] / n_jobs if n_jobs else 0.0,
-        "http_identical_to_batch": (
-            cold["http_digest"] == warm["http_digest"]
-            and cold["http_dp_work"] == warm["http_dp_work"] == sum(
-                r["dp_work"] for r in reference
-            )
-            and [r.digest if r is not None else None for r in cold_responses]
-            == [r["digest"] for r in reference]
-        ),
     }
 
 
@@ -528,29 +414,21 @@ def measure_service(jobs: int, n_clients: int = SERVICE_CLIENTS) -> dict:
 POLICY_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 
-def measure_policy(n_synth: int) -> dict:
-    """The anytime-quality curve of the budget-policy layer (current tree).
+def measure_policy(blocks: list, runs: dict) -> dict:
+    """The anytime-quality curve of the budget-policy layer.
 
-    For every bench block: measure the full (unlimited) VCS run's
-    ``dp_work``, then re-run under a ``finalize_partial`` policy whose
-    ``max_dp_work`` is 25/50/75/100% of that — each run emits a complete
-    valid schedule (partial extraction, fallback, or the real thing) —
-    and record AWCT relative to the full run and to the pure-CARS
-    baseline, plus tier transitions and the partial-finalize rate.  All
-    recorded values are deterministic; the perf gate requires the section
-    to exist and warns (never fails) on curve drift."""
-    from repro.machine import paper_4c_16i_1lat
-    from repro.scheduler import (
-        CarsScheduler,
-        SchedulePolicy,
-        VcsConfig,
-        VirtualClusterScheduler,
-    )
-
-    namespace: dict = {"__name__": "bench_driver"}
-    exec(compile(DRIVER, "<driver>", "exec"), namespace)
-    blocks = namespace["build_workload"](n_synth)
+    For every bench block, take the full (unlimited) VCS run's
+    ``dp_work`` from the serial sweep, then re-run under a
+    ``finalize_partial`` policy whose ``max_dp_work`` is 25/50/75/100%
+    of that — each run emits a complete valid schedule (partial
+    extraction, fallback, or the real thing) — and record AWCT relative
+    to the full run and to the pure-CARS baseline, plus tier transitions
+    and the partial-finalize rate.  All recorded values are
+    deterministic; the perf gate requires the section to exist and warns
+    (never fails) on curve drift."""
     machine = paper_4c_16i_1lat()
+    full_results = runs["vcs", machine.name][0]
+    cars_results = runs["cars", machine.name][0]
 
     t0 = time.perf_counter()
     per_block = []
@@ -559,9 +437,7 @@ def measure_policy(n_synth: int) -> dict:
         for fraction in POLICY_FRACTIONS
     }
     n_blocks = 0
-    for block in blocks:
-        full = VirtualClusterScheduler().schedule(block, machine)
-        cars = CarsScheduler().schedule(block, machine)
+    for block, full, cars in zip(blocks, full_results, cars_results):
         if not (full.ok and cars.ok):
             continue
         n_blocks += 1
@@ -618,15 +494,15 @@ def measure_policy(n_synth: int) -> dict:
     }
 
 
-def deduction_counters(report: dict) -> dict:
-    """Aggregate the deduction-layer counters of one driver report.
+def deduction_counters(trail: dict) -> dict:
+    """Aggregate the deduction-layer counters of the ``trail`` rows.
 
     Sums the per-machine ``stats`` and splits them into the per-rule-class
     ``dp_work`` breakdown and the probing counters.  Reported in the summary (and compared by the
     perf gate as non-gating warnings); the gated totals stay ``dp_work``
     and the schedule digests."""
     totals: dict = {}
-    for machine in report["machines"]:
+    for machine in trail["machines"]:
         for key, value in machine.get("stats", {}).items():
             totals[key] = totals.get(key, 0) + value
     prefix = "dp_rule_"
@@ -667,25 +543,18 @@ def fix_cycles_wall_share(stage_timings: dict) -> float | None:
     return probing / total
 
 
-def profile_vcs_leg(n_synth: int, top_n: int, out_path: str) -> None:
+def profile_vcs_leg(blocks: list, top_n: int, out_path: str) -> None:
     """cProfile the vcs leg in-process and write the top-N
     functions (by cumulative and by internal time) as a text artifact.
 
-    Runs a dedicated serial pass over the bench workload — the gated
-    numbers always come from unprofiled subprocess runs, so enabling the
-    profiler cannot skew them."""
+    Runs a dedicated serial pass over the bench workload — the recorded
+    numbers always come from unprofiled passes, so enabling the profiler
+    cannot skew them."""
     import cProfile
     import io
     import pstats
 
-    from repro.machine import paper_configurations
-    from repro.scheduler import VirtualClusterScheduler
-
-    namespace: dict = {"__name__": "bench_driver"}
-    exec(compile(DRIVER, "<driver>", "exec"), namespace)
-    blocks = namespace["build_workload"](n_synth)
     scheduler = VirtualClusterScheduler()
-
     profiler = cProfile.Profile()
     profiler.enable()
     for machine in paper_configurations():
@@ -703,51 +572,6 @@ def profile_vcs_leg(n_synth: int, top_n: int, out_path: str) -> None:
     print(f"[bench] wrote {out_path} (cProfile top {top_n}, vcs leg)")
 
 
-def parallel_section(jobs: int, serial_wall: float, parallel_wall: float, identical: bool) -> dict:
-    """The cold-pool parallel-vs-serial section of the summary.
-
-    ``cpu_count`` is recorded honestly, and on a single-CPU host the
-    throughput ratio is *skipped* with an explicit reason instead of
-    publishing a sub-1.0 "speedup" that really measures pool spin-up
-    overhead.  The byte-identity flag is always recorded — identity holds
-    on any host."""
-    cpu_count = os.cpu_count() or 1
-    section = {
-        "jobs": jobs,
-        "cpu_count": cpu_count,
-        "wall_time_s": parallel_wall,
-        "serial_wall_time_s": serial_wall,
-        "schedules_identical_serial_vs_parallel": identical,
-    }
-    if cpu_count <= 1 and jobs > 1:
-        section["throughput_speedup_vs_serial"] = None
-        section["skipped"] = (
-            "single-CPU host: parallel wall time measures pool overhead, not speedup"
-        )
-    else:
-        section["throughput_speedup_vs_serial"] = (
-            serial_wall / parallel_wall if parallel_wall else None
-        )
-    return section
-
-
-def digest_fingerprints(report: dict) -> dict:
-    """Replace each machine's raw fingerprint list with its SHA-256 digest.
-
-    The digest is what the committed report stores and what the CI
-    perf-regression gate compares, so schedule byte-identity is tracked
-    without committing the schedules themselves.
-    """
-    from repro.runner import fingerprint_digest
-
-    machines = []
-    for m in report["machines"]:
-        entry = {k: v for k, v in m.items() if k != "fingerprints"}
-        entry["schedule_digest"] = fingerprint_digest(m["fingerprints"])
-        machines.append(entry)
-    return {**report, "machines": machines}
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_vcs.json"))
@@ -757,12 +581,6 @@ def main() -> int:
         default=int(os.environ.get("REPRO_BENCH_BLOCKS", "2")),
         help="synthetic superblocks added to the kernel workload",
     )
-    parser.add_argument(
-        "--baseline-rev",
-        default=DEFAULT_BASELINE_REV,
-        help="git revision to compare against (seed commit by default)",
-    )
-    parser.add_argument("--skip-baseline", action="store_true")
     parser.add_argument(
         "--cprofile",
         type=int,
@@ -779,80 +597,50 @@ def main() -> int:
     parser.add_argument(
         "--jobs",
         default=None,
-        help="workers for the parallel-runner measurement (default: $REPRO_JOBS or 2)",
+        help="workers of the scenario-matrix passes (default: $REPRO_JOBS or 2); "
+        "the parallel and service legs use at least 2",
     )
     args = parser.parse_args()
 
-    from repro.runner import resolve_jobs
-
     if args.jobs is None and "REPRO_JOBS" not in os.environ:
-        jobs = 2  # the serial run is measured separately; exercise the pool
+        jobs = 2
     else:
         # An explicit worker count (flag or env) is honoured as-is so CI can
         # matrix the gate over REPRO_JOBS={1,2} and verify that the recorded
         # digests are identical whether the runner shards or not.
         jobs = resolve_jobs(args.jobs)
+    workers = max(jobs, 2)
 
-    src = str(REPO_ROOT / "src")
-    print(f"[bench] current tree, serial ({args.blocks} synthetic blocks)...")
-    trail = run_driver(src, "trail", args.blocks, jobs=1)
-    print(f"[bench] current tree, parallel ({jobs} workers)...")
-    parallel = run_driver(src, "trail", args.blocks, jobs=jobs)
-    print("[bench] current tree, backend sweep (registry)...")
-    backends = measure_backends(args.blocks)
-    print("[bench] current tree, scenario-matrix sample (ring/p2p x workload families)...")
-    scenarios = measure_scenarios()
-    print("[bench] current tree, anytime policy curve (finalize_partial @ 25/50/75/100%)...")
-    policy = measure_policy(args.blocks)
+    blocks = build_workload(args.blocks)
+    machines = paper_configurations()
+    print(f"[bench] serial backend sweep ({args.blocks} synthetic blocks)...")
+    backends, runs = measure_backends(blocks, machines)
+    trail = trail_section(blocks, machines, runs)
+    print(f"[bench] vcs workload on the warm pool ({workers} workers)...")
+    parallel = measure_parallel(blocks, machines, runs, workers)
+    print("[bench] anytime policy curve (finalize_partial @ 25/50/75/100%)...")
+    policy = measure_policy(blocks, runs)
+    print(f"[bench] scenario matrix, cold then warm result cache ({jobs} workers)...")
+    scenarios, matrix, per_job = measure_matrix(jobs)
     print(
-        "[bench] current tree, runner layer "
-        f"(pool reuse, warm throughput, matrix cache; {jobs} workers)..."
+        f"[bench] HTTP job server ({SERVICE_CLIENTS} clients x "
+        f"{len(per_job)} jobs, cold then warm; {workers} workers)..."
     )
-    runner = measure_runner(args.blocks, max(jobs, 2))
-    print(
-        "[bench] current tree, HTTP job server "
-        f"({SERVICE_CLIENTS} clients x 12-cell matrix, cold+warm; {max(jobs, 2)} workers)..."
-    )
-    service = measure_service(max(jobs, 2))
+    service = measure_service(per_job, workers)
     if args.cprofile > 0:
-        print(f"[bench] current tree, cProfile of the vcs leg (top {args.cprofile})...")
-        profile_vcs_leg(args.blocks, args.cprofile, args.cprofile_output)
+        print(f"[bench] cProfile of the vcs leg (top {args.cprofile})...")
+        profile_vcs_leg(blocks, args.cprofile, args.cprofile_output)
 
-    baseline = None
-    baseline_identical = None
-    if not args.skip_baseline:
-        try:
-            tree = export_revision(args.baseline_rev)
-        except subprocess.CalledProcessError:
-            print(f"[bench] baseline revision {args.baseline_rev!r} unavailable; skipping")
-        else:
-            with tree:
-                print(f"[bench] baseline revision {args.baseline_rev}...")
-                baseline = run_driver(str(Path(tree.name) / "src"), "default", args.blocks)
-            baseline_identical = all(
-                b["fingerprints"] == t["fingerprints"]
-                for b, t in zip(baseline["machines"], trail["machines"])
-            )
-
-    def total_wall(report):
-        return sum(m["wall_time_s"] for m in report["machines"])
-
-    trail_wall = total_wall(trail)
-    parallel_wall = total_wall(parallel)
-    parallel_identical = all(
-        s["fingerprints"] == p["fingerprints"]
-        for s, p in zip(trail["machines"], parallel["machines"])
-    )
     summary = {
         "generated_unix": time.time(),
         "workload": {
             "kernels": 5,
             "synthetic_blocks": args.blocks,
-            "machines": [m["machine"] for m in trail["machines"]],
+            "machines": [machine.name for machine in machines],
         },
-        "trail": digest_fingerprints(trail),
-        "parallel": parallel_section(jobs, trail_wall, parallel_wall, parallel_identical),
-        "runner": runner,
+        "trail": trail,
+        "parallel": parallel,
+        "runner": {"matrix": matrix},
         "service": service,
         "backends": backends,
         "scenarios": scenarios,
@@ -860,65 +648,37 @@ def main() -> int:
         "deduction": {
             **deduction_counters(trail),
             "fix_cycles_wall_share": fix_cycles_wall_share(
-                backends.get("vcs", {}).get("stage_timings", {})
+                backends["vcs"].get("stage_timings", {})
             ),
         },
     }
-    if baseline is not None:
-        base_wall = total_wall(baseline)
-        summary["baseline"] = {
-            "rev": args.baseline_rev,
-            **digest_fingerprints(baseline),
-        }
-        summary["baseline_vs_current_speedup"] = (
-            base_wall / trail_wall if trail_wall else None
-        )
-        summary["schedules_identical_vs_baseline"] = baseline_identical
-
     Path(args.output).write_text(json.dumps(summary, indent=2) + "\n")
 
     print(f"\n[bench] wrote {args.output}")
-    print(f"[bench] vcs {trail_wall:.2f}s")
-    cold_speedup = summary["parallel"]["throughput_speedup_vs_serial"]
-    cold_note = (
-        f"throughput {cold_speedup:.2f}x"
-        if cold_speedup is not None
-        else f"throughput skipped ({summary['parallel']['skipped']})"
-    )
-    print(f"[bench] runner: parallel({jobs} workers, {os.cpu_count()} cpus) {parallel_wall:.2f}s | "
-          f"serial {trail_wall:.2f}s | {cold_note} | "
-          f"identical={parallel_identical}")
-    pool_info, warm_info, matrix_info = runner["pool"], runner["parallel"], runner["matrix"]
-    warm_speedup = warm_info["throughput_speedup_vs_serial"]
-    warm_note = (
-        f"warm throughput {warm_speedup:.2f}x"
-        if warm_speedup is not None
-        else f"warm throughput skipped ({warm_info['skipped']})"
+    speedup = parallel["throughput_speedup_vs_serial"]
+    throughput = (
+        f"throughput {speedup:.2f}x"
+        if speedup is not None
+        else f"throughput skipped ({parallel['skipped']})"
     )
     print(
-        f"[bench] pool: reuse {pool_info['reused_pool_wall_s']:.2f}s vs fresh "
-        f"{pool_info['fresh_pool_wall_s']:.2f}s over {pool_info['batches']} batches "
-        f"({pool_info['reuse_speedup_vs_fresh']:.2f}x) | {warm_note} | "
-        f"identical={warm_info['schedules_identical_serial_vs_parallel']}"
+        f"[bench] vcs serial {parallel['serial_wall_time_s']:.2f}s | warm pool "
+        f"({workers} workers, {parallel['cpu_count']} cpus) {parallel['wall_time_s']:.2f}s | "
+        f"{throughput} | identical={parallel['schedules_identical_serial_vs_parallel']}"
     )
     print(
-        f"[bench] result cache: matrix cold {matrix_info['cold_wall_s']:.2f}s -> warm "
-        f"{matrix_info['warm_wall_s']:.2f}s ({matrix_info['warm_speedup_vs_cold']:.1f}x), "
-        f"{matrix_info['warm_recomputed']} of {matrix_info['cells']} cells recomputed warm, "
-        f"digests identical={matrix_info['digests_identical_warm_vs_cold']}"
+        f"[bench] result cache: matrix cold {matrix['cold_wall_s']:.2f}s -> warm "
+        f"{matrix['warm_wall_s']:.2f}s | cold {matrix['cold_cache']} | "
+        f"warm {matrix['warm_cache']}"
     )
+    latency = {leg: service[leg]["latency"] for leg in ("cold", "warm")}
     print(
         f"[bench] service: {service['jobs']} jobs x {service['clients']} clients over HTTP | "
-        f"cold p50 {service['cold']['latency']['p50_s'] * 1000:.0f}ms "
-        f"p99 {service['cold']['latency']['p99_s'] * 1000:.0f}ms | "
-        f"warm p50 {service['warm']['latency']['p50_s'] * 1000:.0f}ms | "
-        f"warm hit rate {service['warm_hit_rate']:.0%} | "
-        f"identical={service['http_identical_to_batch']}"
+        f"cold p50 {latency['cold']['p50_s'] * 1000:.0f}ms "
+        f"p99 {latency['cold']['p99_s'] * 1000:.0f}ms | "
+        f"warm p50 {latency['warm']['p50_s'] * 1000:.0f}ms | "
+        f"warm cache {service['warm']['cache']}"
     )
-    if baseline is not None:
-        print(f"[bench] baseline({args.baseline_rev}) {total_wall(baseline):.2f}s | "
-              f"speedup {summary['baseline_vs_current_speedup']:.2f}x | "
-              f"byte-identical={baseline_identical}")
     deduction = summary["deduction"]
     probing = deduction["probing"]
     print(
@@ -936,12 +696,6 @@ def main() -> int:
         wall = sum(m["wall_time_s"] for m in entry["machines"])
         work = sum(m["dp_work"] for m in entry["machines"])
         print(f"[bench] backend {name:8s} wall {wall:.2f}s | dp_work {work}")
-    n_cells = len(scenarios["cells"])
-    topologies = sorted({cell["machine_family"] for cell in scenarios["cells"]})
-    print(
-        f"[bench] scenario sample: {n_cells} cells over {'/'.join(topologies)} "
-        f"in {scenarios['wall_time_s']:.2f}s"
-    )
     curve_text = " | ".join(
         f"{point['fraction']:.0%}: {point['mean_awct_ratio_vs_full']:.3f}x full, "
         f"{point['mean_awct_ratio_vs_cars']:.3f}x cars, "
@@ -949,7 +703,7 @@ def main() -> int:
         for point in policy["anytime_curve"]
     )
     print(f"[bench] anytime curve ({policy['config']['machine']}): {curve_text}")
-    vcs_stages = backends.get("vcs", {}).get("stage_timings", {})
+    vcs_stages = backends["vcs"].get("stage_timings", {})
     if vcs_stages:
         breakdown = " | ".join(
             f"{stage} {entry['wall_time_s']:.2f}s/{entry['calls']}"

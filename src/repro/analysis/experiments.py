@@ -484,9 +484,9 @@ def scenario_matrix_jobs(
     workload families' workloads, blocks, ``backends`` innermost).
 
     This is the shared enumeration behind the batch matrix and the HTTP
-    service-identity gate (``scripts/check_service_identity.py``): both
-    paths schedule *these* jobs, so per-job results can be compared
-    position by position and digests must match byte for byte.
+    ``service`` leg of ``scripts/bench_report.py``: both paths schedule
+    *these* jobs, so per-job results can be compared position by
+    position and digests must match byte for byte.
     """
     machines, workloads, _ = _scenario_inputs(
         machine_families, workload_families, blocks_per_benchmark

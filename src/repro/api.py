@@ -25,9 +25,9 @@ contract the HTTP job server (:mod:`repro.service`) speaks:
 
 Determinism contract: every path through this module executes via
 ``repro.runner``'s batch core, so results are byte-identical across the
-CLI, the drivers, and the service — the CI gates
-(``scripts/check_cache_identity.py``, ``scripts/check_service_identity.py``)
-hold the invariant.
+CLI, the drivers, and the service — the perf gate
+(``scripts/check_perf_regression.py``, over the ``runner.matrix`` and
+``service`` sections of ``BENCH_vcs.json``) holds the invariant.
 """
 
 from __future__ import annotations

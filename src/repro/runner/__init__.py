@@ -12,9 +12,9 @@ can be sharded across a process pool.  The package provides:
   order.  ``REPRO_JOBS=1`` (the default) selects an in-process serial
   backend with the same interface.
 * :mod:`repro.runner.pool` — the process-wide persistent worker pool
-  batches run on by default: warm workers that pre-import the package
-  and intern reconstructed machines by digest, one executor reused
-  across every batch of a suite run (``REPRO_POOL=fresh`` opts out).
+  every multi-worker batch runs on: warm workers that pre-import the
+  package and intern reconstructed machines by digest, one executor
+  reused across every batch of a suite run.
 * :mod:`repro.runner.cache` — the content-addressed on-disk result
   cache (``REPRO_CACHE``/``REPRO_CACHE_DIR``): schedule results keyed
   by (block digest, machine digest, backend spec, code salt), so warm

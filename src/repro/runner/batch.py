@@ -9,11 +9,10 @@ effect: with the default stride of one job per pool task, idle workers
 pull the next pending job off the executor's queue, so a straggler job
 no longer serializes the whole tail of a contiguous chunk.
 
-By default batches run on the process-wide persistent pool
+Batches run on the process-wide persistent pool
 (:mod:`repro.runner.pool`): the executor survives across
 ``map`` calls, so a suite of many small batches pays worker spin-up and
-package import once instead of per batch.  ``persistent=False`` (or
-``REPRO_POOL=fresh``) restores the executor-per-batch behaviour.
+package import once instead of per batch.
 
 Failure handling is per job: an exception inside a job is captured in
 the worker (type, message, traceback) and reported as a
@@ -22,7 +21,7 @@ pool failure modes are also mapped back onto jobs: a worker process that
 dies (``BrokenProcessPool``) fails every job still in flight, and an
 expired stride deadline (``timeout`` × jobs in the stride) tears the pool
 down and fails the unfinished jobs as ``timeout`` / ``cancelled``.  In
-both cases a shared pool is *replaced*, not merely shut down — the next
+both cases the shared pool is *replaced*, not merely shut down — the next
 batch transparently gets a fresh pool.  Batches running concurrently on
 the same shared pool (the job server runs one per in-flight job) lose
 their workers too: their unfinished jobs fail as ``crash``.
@@ -44,7 +43,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.config import env_knob, parse_jobs
 from repro.runner.cache import CacheStats
-from repro.runner.pool import PersistentPool, pool_reuse_enabled, shared_pool
+from repro.runner.pool import PersistentPool, shared_pool
 
 #: Environment variable selecting the default worker count.
 JOBS_ENV_VAR = env_knob("jobs").env
@@ -163,12 +162,9 @@ class BatchScheduler:
         (a stride's deadline is ``timeout`` times its job count).  ``None``
         disables the deadline.  Only the process backend can preempt; the
         serial backend runs every job to completion.
-    mp_context:
-        Optional ``multiprocessing`` context (e.g. to force ``"spawn"``).
-    persistent:
-        Reuse the process-wide shared pool (:func:`repro.runner.pool.shared_pool`)
-        across batches instead of spinning up an executor per ``map``
-        call.  ``None`` reads ``REPRO_POOL`` (default: persistent).
+
+    Every multi-worker scheduler with the same worker count shares one
+    process-wide pool (:func:`repro.runner.pool.shared_pool`).
     """
 
     def __init__(
@@ -176,16 +172,12 @@ class BatchScheduler:
         jobs: Optional[object] = None,
         chunk_size: Optional[int] = None,
         timeout: Optional[float] = None,
-        mp_context: Optional[object] = None,
-        persistent: Optional[bool] = None,
     ):
         self.n_workers = resolve_jobs(jobs)
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.chunk_size = chunk_size
         self.timeout = timeout
-        self.mp_context = mp_context
-        self.persistent = pool_reuse_enabled() if persistent is None else persistent
 
     # ------------------------------------------------------------------ #
     # public API
@@ -247,19 +239,16 @@ class BatchScheduler:
                 )
         return BatchResult(values=values, failures=failures, n_workers=1, backend="serial")
 
-    def _acquire_executor(self) -> Tuple[ProcessPoolExecutor, Optional[PersistentPool]]:
-        """The executor to run on, plus the shared pool owning it (if any)."""
-        if self.persistent:
-            pool = shared_pool(self.n_workers, self.mp_context)
-            try:
-                return pool.executor(), pool
-            except Exception:
-                # A broken registry entry (e.g. executor shut down behind
-                # our back): replace and retry once before giving up.
-                pool.replace()
-                return pool.executor(), pool
-        executor = ProcessPoolExecutor(max_workers=self.n_workers, mp_context=self.mp_context)
-        return executor, None
+    def _acquire_executor(self) -> Tuple[ProcessPoolExecutor, PersistentPool]:
+        """The shared pool's executor to run on, plus the pool owning it."""
+        pool = shared_pool(self.n_workers)
+        try:
+            return pool.executor(), pool
+        except Exception:
+            # A broken registry entry (e.g. executor shut down behind
+            # our back): replace and retry once before giving up.
+            pool.replace()
+            return pool.executor(), pool
 
     def _map_process_pool(self, fn, payloads, ids) -> BatchResult:
         # Work-stealing stride: one job per pool task by default, so idle
@@ -298,8 +287,6 @@ class BatchScheduler:
             except (BrokenProcessPool, RuntimeError):
                 # The shared executor died between batches; replace it and
                 # resubmit the whole batch on a fresh pool.
-                if pool is None:
-                    raise
                 pool.replace(executor)
                 executor = pool.executor()
                 futures = [(chunk, executor.submit(_run_chunk, fn, chunk)) for chunk in chunks]
@@ -332,14 +319,11 @@ class BatchScheduler:
                     failures.extend(self._fail_chunk(chunk, ids, "crash", exc))
                     aborted = True
         finally:
-            if pool is not None:
-                pool.record_batch()
-                if aborted:
-                    # Crashed or timed out: discard the executor so the
-                    # next batch transparently gets a fresh pool.
-                    pool.replace(executor)
-            else:
-                executor.shutdown(wait=not aborted, cancel_futures=True)
+            pool.record_batch()
+            if aborted:
+                # Crashed or timed out: discard the executor so the
+                # next batch transparently gets a fresh pool.
+                pool.replace(executor)
 
         failures.sort(key=lambda f: f.index)
         return BatchResult(

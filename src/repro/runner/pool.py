@@ -4,8 +4,8 @@ Spinning up a ``ProcessPoolExecutor`` costs forked/spawned interpreters,
 package re-imports and warm-up of every per-process cache — a price the
 old per-batch executors paid on *every* ``run_batch``/matrix/suite call,
 which is why ``REPRO_JOBS=2`` used to run the suite *slower* than serial
-on small batches.  This module keeps one executor per (worker count,
-start method) alive for the life of the process:
+on small batches.  This module keeps one executor per worker count
+alive for the life of the process:
 
 * :func:`shared_pool` returns the process-wide :class:`PersistentPool`
   for a worker count, creating its executor lazily on first use and
@@ -23,34 +23,15 @@ start method) alive for the life of the process:
   batch layer calls :meth:`PersistentPool.replace`, which discards the
   broken executor; the next batch transparently spins up a fresh one —
   per-job failure taxonomy is unchanged.
-
-``REPRO_POOL=fresh`` (or ``off``) disables reuse globally and restores
-the historical executor-per-batch behaviour.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
-
-from repro.config import env_knob, parse_pool
-
-#: Environment variable selecting the pool policy: ``persistent`` (the
-#: default; one shared executor per worker count, reused across batches)
-#: or ``fresh``/``off`` (one executor per batch, the historical mode).
-POOL_ENV_VAR = env_knob("pool").env
-
-
-def pool_reuse_enabled() -> bool:
-    """Whether the shared persistent pool is enabled (``REPRO_POOL``).
-
-    Parse rule shared with :class:`repro.config.RuntimeConfig`.
-    """
-    return parse_pool(os.environ.get(POOL_ENV_VAR, "persistent"))
 
 
 def _warm_worker() -> None:
@@ -67,13 +48,12 @@ class PersistentPool:
     The executor is created on first :meth:`executor` call and reused
     until :meth:`replace` (after a crash/timeout) or :meth:`shutdown`.
     ``spin_ups`` counts executor creations and ``batches_served`` the
-    batches dispatched through the pool — the reuse evidence the bench
-    report records.
+    batches dispatched through the pool — the reuse evidence ``repro
+    suite`` reports.
     """
 
-    def __init__(self, n_workers: int, mp_context: Optional[object] = None):
+    def __init__(self, n_workers: int):
         self.n_workers = n_workers
-        self.mp_context = mp_context
         self._executor: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
         self.spin_ups = 0
@@ -85,7 +65,6 @@ class PersistentPool:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.n_workers,
-                    mp_context=self.mp_context,
                     initializer=_warm_worker,
                 )
                 self.spin_ups += 1
@@ -136,19 +115,17 @@ class PersistentPool:
         self.shutdown()
 
 
-_POOLS: Dict[Tuple[int, int], PersistentPool] = {}
+_POOLS: Dict[int, PersistentPool] = {}
 _POOLS_LOCK = threading.Lock()
 
 
-def shared_pool(n_workers: int, mp_context: Optional[object] = None) -> PersistentPool:
-    """The process-wide pool for *n_workers* (one per worker count and
-    multiprocessing context), created on first request."""
-    key = (n_workers, id(mp_context))
+def shared_pool(n_workers: int) -> PersistentPool:
+    """The process-wide pool for *n_workers*, created on first request."""
     with _POOLS_LOCK:
-        pool = _POOLS.get(key)
+        pool = _POOLS.get(n_workers)
         if pool is None:
-            pool = PersistentPool(n_workers, mp_context)
-            _POOLS[key] = pool
+            pool = PersistentPool(n_workers)
+            _POOLS[n_workers] = pool
         return pool
 
 
@@ -163,7 +140,7 @@ def shutdown_shared_pools(wait: bool = False) -> None:
 
 def shared_pool_stats() -> Dict[str, Dict[str, int]]:
     """Spin-up/reuse counters of every live shared pool, keyed by worker
-    count (the bench report's pool-reuse evidence)."""
+    count."""
     with _POOLS_LOCK:
         return {str(pool.n_workers): pool.stats() for pool in _POOLS.values()}
 

@@ -21,8 +21,9 @@ service without adding any dependency beyond the standard library:
 Determinism: dispatch goes through the same execution core as the batch
 runner and the same content-addressed cache, so every schedule returned
 over HTTP is byte-identical (digest + dp_work) to the batch path and
-repeated submissions are warm cache hits — CI's ``service-smoke`` job
-(``scripts/check_service_identity.py``) gates the invariant.
+repeated submissions are warm cache hits — the perf gate
+(``scripts/check_perf_regression.py``) checks the invariant on the
+``service`` section of ``BENCH_vcs.json``.
 """
 
 from repro.service.client import ServiceClient, ServiceError

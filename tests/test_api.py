@@ -179,7 +179,6 @@ class TestRuntimeConfig:
         assert config.bench_blocks is None
         assert config.bench_budget == 60_000
         assert config.cache is True
-        assert config.pool is True
         assert config.service_host == "127.0.0.1"
         assert config.service_port == 0
         assert config.service_timeout is None

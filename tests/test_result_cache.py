@@ -220,9 +220,7 @@ class TestParallelCache:
         jobs = _jobs_for(block, machine, "cars") + _jobs_for(block, machine, "vcs")
         spec = CacheSpec(root=str(tmp_path))
         cold = schedule_many(jobs, cache=spec)
-        warm = schedule_many(
-            jobs, runner=BatchScheduler(jobs=2, persistent=False), cache=spec
-        )
+        warm = schedule_many(jobs, runner=BatchScheduler(jobs=2), cache=spec)
         assert cold.cache.stores == len(jobs)
         assert warm.cache.hits == len(jobs) and warm.cache.misses == 0
         for a, b in zip(cold.values, warm.values):

@@ -28,7 +28,6 @@ from repro.runner import (
     shared_pool,
     shutdown_shared_pools,
 )
-from repro.runner.pool import pool_reuse_enabled
 from repro.scheduler import VcsConfig
 from repro.workloads import all_kernels, build_benchmark, profile_by_name, stable_block_id
 from repro.workloads.synth import GeneratorConfig, SuperblockGenerator
@@ -265,7 +264,7 @@ def clean_pools():
 
 class TestPersistentPool:
     def test_pool_survives_across_batches(self, clean_pools):
-        runner = BatchScheduler(jobs=2, persistent=True)
+        runner = BatchScheduler(jobs=2)
         first = runner.map(_double, [1, 2, 3])
         second = runner.map(_double, [4, 5, 6])
         assert first.values == [2, 4, 6] and second.values == [8, 10, 12]
@@ -275,12 +274,12 @@ class TestPersistentPool:
         assert pool.batches_served == 2
 
     def test_two_runners_share_one_pool(self, clean_pools):
-        BatchScheduler(jobs=2, persistent=True).map(_double, [1, 2])
-        BatchScheduler(jobs=2, persistent=True).map(_double, [3, 4])
+        BatchScheduler(jobs=2).map(_double, [1, 2])
+        BatchScheduler(jobs=2).map(_double, [3, 4])
         assert shared_pool(2).spin_ups == 1
 
     def test_crash_replaces_pool_and_next_batch_recovers(self, clean_pools):
-        runner = BatchScheduler(jobs=2, chunk_size=1, persistent=True)
+        runner = BatchScheduler(jobs=2, chunk_size=1)
         crashed = runner.map(_exit_hard, [1, 2, 3], on_error="capture")
         assert not crashed.ok and any(f.kind == "crash" for f in crashed.failures)
         # The broken executor was discarded; a fresh one serves the next batch.
@@ -300,7 +299,7 @@ class TestPersistentPool:
 
     def test_batches_served_counts_concurrent_batches(self, clean_pools):
         """Threads sharing one pool lose no ``batches_served`` update."""
-        runner = BatchScheduler(jobs=2, persistent=True)
+        runner = BatchScheduler(jobs=2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -312,25 +311,11 @@ class TestPersistentPool:
         assert shared_pool(2).batches_served == 200
 
     def test_timeout_replaces_pool_and_next_batch_recovers(self, clean_pools):
-        runner = BatchScheduler(jobs=2, chunk_size=1, timeout=0.5, persistent=True)
+        runner = BatchScheduler(jobs=2, chunk_size=1, timeout=0.5)
         timed_out = runner.map(_sleep_long, [1, 2], on_error="capture")
         assert {f.kind for f in timed_out.failures} <= {"timeout", "cancelled", "crash"}
-        after = BatchScheduler(jobs=2, persistent=True).map(_double, [7, 8])
+        after = BatchScheduler(jobs=2).map(_double, [7, 8])
         assert after.ok and after.values == [14, 16]
-
-    def test_fresh_mode_leaves_no_shared_pool(self, clean_pools, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "fresh")
-        assert not pool_reuse_enabled()
-        result = BatchScheduler(jobs=2).map(_double, [1, 2, 3])
-        assert result.values == [2, 4, 6]
-        assert not shared_pool(2).alive
-
-    def test_reuse_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL", raising=False)
-        assert pool_reuse_enabled()
-        for value in ("fresh", "off", "0", "FALSE"):
-            monkeypatch.setenv("REPRO_POOL", value)
-            assert not pool_reuse_enabled()
 
     def test_parallel_schedule_results_identical_on_shared_pool(
         self, clean_pools, mixed_blocks
@@ -343,7 +328,7 @@ class TestPersistentPool:
             vcs_config=VcsConfig(work_budget=20_000),
         )
         serial = BatchScheduler(jobs=1).map(run_schedule_job, jobs)
-        runner = BatchScheduler(jobs=2, persistent=True)
+        runner = BatchScheduler(jobs=2)
         first = runner.map(run_schedule_job, jobs)
         second = runner.map(run_schedule_job, jobs)
         assert shared_pool(2).spin_ups == 1
