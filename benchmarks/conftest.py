@@ -33,8 +33,7 @@ from repro.runner import BatchScheduler
 
 
 def bench_blocks() -> int:
-    blocks = RuntimeConfig.load().bench_blocks
-    return 2 if blocks is None else blocks
+    return RuntimeConfig.load().bench_blocks
 
 
 def bench_budget() -> int:

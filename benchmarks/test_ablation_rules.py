@@ -19,6 +19,7 @@ from repro.analysis import format_table, geometric_mean
 from repro.analysis.experiments import run_workload
 from repro.machine import paper_4c_16i_2lat
 from repro.scheduler import VcsConfig
+from repro.scheduler.pipeline import EAGER_STAGE_ORDER
 from repro.workloads import build_suite, profile_by_name
 
 ABLATION_BENCHMARKS = ["mpeg2dec", "epicenc", "099.go"]
@@ -34,7 +35,7 @@ def _variants(budget):
     return {
         "full": VcsConfig(work_budget=budget),
         "A1 no PLC rules": VcsConfig(work_budget=budget, enable_plc=False),
-        "A2 eager mapping": VcsConfig(work_budget=budget, eager_mapping=True),
+        "A2 eager mapping": VcsConfig(work_budget=budget, stage_order=EAGER_STAGE_ORDER),
         "A3 no matching": VcsConfig(work_budget=budget, use_matching=False),
     }
 

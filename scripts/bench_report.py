@@ -69,6 +69,7 @@ if not any((Path(p) / "repro").is_dir() for p in sys.path if p):
 
 from repro.analysis.experiments import run_scenario_matrix, scenario_matrix_jobs  # noqa: E402
 from repro.api import ScheduleRequest, ScheduleResponse, schedule_many  # noqa: E402
+from repro.config import RuntimeConfig  # noqa: E402
 from repro.machine import paper_4c_16i_1lat, paper_configurations  # noqa: E402
 from repro.runner import (  # noqa: E402
     BatchScheduler,
@@ -517,8 +518,7 @@ def deduction_counters(trail: dict) -> dict:
             "probes": totals.get("probes", 0),
             "rollbacks": totals.get("rollbacks", 0),
             "redos": totals.get("redos", 0),
-            # Zero at the default configuration: the early cut is opt-in.
-            # Recorded anyway so an opt-in bench run shows how much it skips.
+            # Candidate cycles the fix-cycles early cut never probed.
             "early_cut_skips": totals.get("early_cut_skips", 0),
         },
     }
@@ -578,8 +578,9 @@ def main() -> int:
     parser.add_argument(
         "--blocks",
         type=int,
-        default=int(os.environ.get("REPRO_BENCH_BLOCKS", "2")),
-        help="synthetic superblocks added to the kernel workload",
+        default=RuntimeConfig.load().bench_blocks,
+        help="synthetic superblocks added to the kernel workload "
+        "(default: $REPRO_BENCH_BLOCKS or 2)",
     )
     parser.add_argument(
         "--cprofile",

@@ -84,10 +84,6 @@ KNOB_NOTES = {
         "behaviour-changing (paper ablation A1)",
         "disable the partially-linked-communication rules",
     ),
-    "eager_mapping": (
-        "behaviour-changing (paper ablation A2)",
-        "map virtual clusters right after stage 1 instead of at the end",
-    ),
     "use_matching": (
         "behaviour-changing (paper ablation A3)",
         "replace max-weight matching in stage 3 with one-pair-at-a-time",
@@ -98,15 +94,12 @@ KNOB_NOTES = {
     ),
     "stage_order": (
         "behaviour-changing",
-        "reorder the decision stages (names from ``available_stages()``)",
+        "reorder the decision stages (names from ``available_stages()``); "
+        "paper ablation A2 is ``EAGER_STAGE_ORDER``",
     ),
     "cycle_hints": (
         "behaviour-changing",
         "bias stage-2 cycle windows (the hybrid backend seeds these from CARS)",
-    ),
-    "probe_early_cut": (
-        "same winner, fewer probes — opt-in dp_work change",
-        "stop a cycle-pinning round once no candidate can beat the leader",
     ),
     "policy": (
         "``None`` byte-identical; a policy adds fingerprint provenance "

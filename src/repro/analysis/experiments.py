@@ -15,9 +15,9 @@ records an experiment returns are byte-identical whether it ran serially
 Schedulers are selected by registry name (:mod:`repro.scheduler.registry`),
 so the same drivers compare any baseline/proposed backend pair
 (``run_workload(..., schedulers=("cars", "hybrid"))``), and
-:func:`run_backend_records` / :func:`run_backend_comparison` sweep an
-arbitrary backend list as one flat batch — the Figure 11-style
-backend-vs-backend experiment.
+:func:`run_backend_records` sweeps an arbitrary backend list as one flat
+batch and :func:`backend_comparisons` groups its records into the
+Figure 11-style backend-vs-backend experiment.
 """
 
 from __future__ import annotations
@@ -380,39 +380,6 @@ def backend_comparisons(
                     )
                 )
     return grouped
-
-
-def run_backend_comparison(
-    workloads: Sequence[BenchmarkWorkload],
-    machines: Sequence[ClusteredMachine],
-    backends: Sequence[str] = ("cars", "vcs", "hybrid"),
-    baseline: str = "cars",
-    work_budget: Optional[int] = None,
-    vcs_config: Optional[VcsConfig] = None,
-    runner: Optional[BatchScheduler] = None,
-    cache: object = None,
-    cache_stats: Optional[CacheStats] = None,
-) -> Dict[str, Dict[str, List[BenchmarkComparison]]]:
-    """Figure 11 generalised to a backend dimension: per-benchmark
-    comparisons of every backend against *baseline*.
-
-    The baseline is scheduled once per (workload, machine) and reused for
-    every backend's comparison; the whole cross product runs as a single
-    batch, then aggregates through :func:`backend_comparisons`."""
-    backends = tuple(backends)
-    if baseline not in backends:
-        backends = (baseline,) + backends
-    records = run_backend_records(
-        workloads,
-        machines,
-        backends,
-        work_budget=work_budget,
-        vcs_config=vcs_config,
-        runner=runner,
-        cache=cache,
-        cache_stats=cache_stats,
-    )
-    return backend_comparisons(records, baseline=baseline)
 
 
 # --------------------------------------------------------------------------- #

@@ -77,22 +77,6 @@ def parse_cache_dir(value: object) -> str:
     return text if text else str(Path.home() / ".cache" / "repro")
 
 
-def parse_optional_int(name: str) -> Callable[[object], Optional[int]]:
-    def parse(value: object) -> Optional[int]:
-        if value is None:
-            return None
-        text = str(value).strip()
-        if not text:
-            return None
-        try:
-            parsed = int(text)
-        except ValueError:
-            raise ValueError(f"invalid {name} {value!r}: expected an integer") from None
-        return parsed
-
-    return parse
-
-
 def parse_optional_float(name: str) -> Callable[[object], Optional[float]]:
     def parse(value: object) -> Optional[float]:
         if value is None:
@@ -175,11 +159,11 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
     EnvKnob(
         attr="bench_blocks",
         env="REPRO_BENCH_BLOCKS",
-        default=None,
-        parse=parse_optional_int("REPRO_BENCH_BLOCKS"),
-        default_text="unset (full workload)",
+        default="2",
+        parse=parse_int("REPRO_BENCH_BLOCKS"),
+        default_text="2",
         identity="changes the workload, not determinism",
-        note="cap synthetic blocks per suite — CI uses 1 for the perf-smoke gate",
+        note="synthetic blocks per benchmark suite — CI uses 1 for the perf-smoke gate",
     ),
     EnvKnob(
         attr="bench_budget",
@@ -261,7 +245,7 @@ class RuntimeConfig:
 
     jobs: int = 1
     scheduler: str = "vcs"
-    bench_blocks: Optional[int] = None
+    bench_blocks: int = 2
     bench_budget: int = 60_000
     cache: bool = True
     cache_dir: str = ""

@@ -44,7 +44,7 @@ from repro.machine.spec import MachineSpec
 #: revision.  Bump on any change that moves dp_work or schedule digests
 #: (the same changes that regenerate BENCH_vcs.json) so stale cache
 #: entries can never masquerade as fresh results.
-CODE_SALT = "2026.08-pr8"
+CODE_SALT = "2026.10-pr15"
 
 
 def canonical_json(payload: object) -> str:

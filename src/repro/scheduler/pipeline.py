@@ -127,9 +127,6 @@ class PipelineConfig(Protocol):
     @property
     def use_matching(self) -> bool: ...
 
-    @property
-    def probe_early_cut(self) -> bool: ...
-
 
 class ProbeEngine:
     """Probing primitives shared by every decision stage.
@@ -147,12 +144,6 @@ class ProbeEngine:
         #: probes (and can raise on probe-budget exhaustion) via
         #: :meth:`PolicyTracker.note_probe`.
         self.tracker: Optional["PolicyTracker"] = None
-        #: When set (``finalize_partial`` policies), a
-        #: :class:`BudgetExhausted` raised mid-deduction rolls the state
-        #: back to the sequence's entry checkpoint before propagating, so
-        #: the exhaustion handler sees a consistent best-so-far state
-        #: instead of a half-applied decision.
-        self.recover_on_exhaustion = False
 
     def check_time(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
@@ -169,38 +160,28 @@ class ProbeEngine:
         and work across the whole sequence (multi-decision studies report
         the total, not just the last decision's share).
 
-        With :attr:`recover_on_exhaustion`, budget exhaustion mid-sequence
-        rolls the state back to the entry checkpoint before re-raising —
-        partial mutations of the aborted deduction never escape."""
-        if self.recover_on_exhaustion:
-            mark = state.checkpoint()
-            try:
-                return self._apply_sequence(dp, state, decisions, budget)
-            except BudgetExhausted:
-                state.rollback(mark)
-                raise
-        return self._apply_sequence(dp, state, decisions, budget)
-
-    def _apply_sequence(
-        self,
-        dp: DeductionProcess,
-        state: SchedulingState,
-        decisions: Sequence[Decision],
-        budget: Optional[WorkBudget],
-    ) -> DeductionResult:
+        Budget exhaustion mid-sequence rolls the state back to the entry
+        checkpoint before re-raising: partial mutations of the aborted
+        deduction never escape, so a ``finalize_partial`` policy finalizes
+        a consistent best-so-far state."""
+        mark = state.checkpoint()
         consequences: List[Change] = []
         work = 0
-        for decision in decisions:
-            result = dp.apply(state, decision, budget=budget, in_place=True)
-            consequences.extend(result.consequences)
-            work += result.work
-            if not result.ok:
-                return DeductionResult(
-                    state=state,
-                    consequences=consequences,
-                    contradiction=result.contradiction,
-                    work=work,
-                )
+        try:
+            for decision in decisions:
+                result = dp.apply(state, decision, budget=budget, in_place=True)
+                consequences.extend(result.consequences)
+                work += result.work
+                if not result.ok:
+                    return DeductionResult(
+                        state=state,
+                        consequences=consequences,
+                        contradiction=result.contradiction,
+                        work=work,
+                    )
+        except BudgetExhausted:
+            state.rollback(mark)
+            raise
         return DeductionResult(state=state, consequences=consequences, work=work)
 
     def probe(
@@ -372,6 +353,18 @@ class CombinationsStage:
 # --------------------------------------------------------------------------- #
 # stages 2 / 6: pin operations with slack to cycles
 # --------------------------------------------------------------------------- #
+def floor_rules_out(floor: Tuple[float, float], best_score: Tuple[float, ...]) -> bool:
+    """The early cut of a cycle-pinning round.
+
+    *floor* bounds the first two score components (communications,
+    compactness) of the next candidate cycle from below; when it already
+    exceeds the round's current winner, that candidate — and every later,
+    larger cycle, whose floor is at least as high — loses the
+    ``(score, cycle)`` comparison, so the round can stop probing without
+    changing its winner."""
+    return floor > best_score[:2]
+
+
 class _FixCyclesBody:
     """Shared loop of the cycle-pinning stages (original operations in
     stage 2, communications in stage 6)."""
@@ -407,31 +400,21 @@ class _FixCyclesBody:
             hint = None if communications else ctx.cycle_hints.get(op_id)
             cycles = cand.cycle_candidates(state, op_id, n_candidates, hint=hint)
             earliest_contradicts = False
-            early_cut = config.probe_early_cut
-            flc_floor = comp_base = 0.0
+            # Optimistic score floor for any candidate probed from this
+            # round's state: communications are only ever created or
+            # resolved during a deduction (never dropped — only unresolved
+            # PLCs are, at stage-6 entry), so the fully-linked count is a
+            # floor on the score's n_communications; original estarts are
+            # monotone under deduction, so compactness is floored by the
+            # current sum plus this operation's own shift.
+            flc_floor = float(len(state.comms.fully_linked()))
+            comp_base = state.compactness()
             estart_base = state.estart[op_id]
-            if early_cut:
-                # Optimistic score floor for any candidate probed from this
-                # round's state: communications are only ever created or
-                # resolved during a deduction (never dropped — only
-                # unresolved PLCs are, at stage-6 entry), so the
-                # fully-linked count is a floor on the score's
-                # n_communications; original estarts are monotone under
-                # deduction, so compactness is floored by the current sum
-                # plus this operation's own shift.
-                flc_floor = float(len(state.comms.fully_linked()))
-                comp_base = state.compactness()
             best: Optional[Tuple[Tuple, int, List[tuple]]] = None
             for index, cycle in enumerate(cycles):
-                if early_cut and best is not None:
-                    bound_comp = (
-                        comp_base if communications else comp_base + (cycle - estart_base)
-                    )
-                    if (flc_floor, bound_comp) > (best[0][0], best[0][1]):
-                        # Every later candidate's floor is at least this
-                        # one's (cycles ascend): no remaining cycle can beat
-                        # the current (score, cycle) winner
-                        # lexicographically.
+                if best is not None:
+                    shift = 0 if communications else cycle - estart_base
+                    if floor_rules_out((flc_floor, comp_base + shift), best[0]):
                         engine.stats["early_cut_skips"] += len(cycles) - index
                         break
                 mark, study = engine.probe(
@@ -637,15 +620,11 @@ def resolve_stage_order(config) -> Tuple[str, ...]:
     """The effective stage order of a configuration.
 
     ``config.stage_order`` wins when set; otherwise the order is the
-    paper's, with the A2 ablation (``eager_mapping``) mapping virtual
-    clusters right after stage 1.  The extraction stage is always
-    appended when missing — every pipeline must end by producing a
-    schedule."""
+    paper's (the A2 ablation is :data:`EAGER_STAGE_ORDER`).  The
+    extraction stage is always appended when missing — every pipeline
+    must end by producing a schedule."""
     order = getattr(config, "stage_order", None)
-    if order is None:
-        eager = getattr(config, "eager_mapping", False)
-        order = EAGER_STAGE_ORDER if eager else DEFAULT_STAGE_ORDER
-    order = tuple(order)
+    order = DEFAULT_STAGE_ORDER if order is None else tuple(order)
     for name in order:
         if name not in STAGE_FACTORIES:
             raise UnknownStageError(

@@ -99,10 +99,6 @@ class VcsConfig:
     cycle_candidates: int = 2
     #: Enable the partially-linked-communication rules (ablation A1).
     enable_plc: bool = True
-    #: Map virtual clusters eagerly after stage 1 instead of postponing the
-    #: mapping to the end (ablation A2).  Shorthand for the corresponding
-    #: ``stage_order``.
-    eager_mapping: bool = False
     #: Use the maximum weight matching in stage 3 (ablation A3); when off,
     #: out-edges are eliminated one highest-weight pair at a time.
     use_matching: bool = True
@@ -112,18 +108,14 @@ class VcsConfig:
     fallback_to_cars: bool = True
     #: Explicit decision-stage order (names from
     #: :func:`repro.scheduler.pipeline.available_stages`); None selects the
-    #: paper's order (or the eager-mapping variant).
+    #: paper's order.  Ablation A2 (map virtual clusters eagerly after
+    #: stage 1) is :data:`~repro.scheduler.pipeline.EAGER_STAGE_ORDER`.
     stage_order: Optional[Tuple[str, ...]] = None
     #: Per-operation cycle hints ``((op_id, cycle), ...)`` biasing the
     #: cycle-candidate windows of stage 2 — the hybrid backend seeds these
     #: from a CARS pre-pass.  A tuple of pairs so the config stays
     #: picklable and comparable.
     cycle_hints: Optional[Tuple[Tuple[int, int], ...]] = None
-    #: Stop probing a cycle-pinning round as soon as an optimistic score
-    #: bound proves that no remaining candidate cycle can beat the current
-    #: ``(score, cycle)`` winner.  Same winner, fewer probes — changes
-    #: ``dp_work``, hence opt-in.
-    probe_early_cut: bool = False
     #: Budget policy (:class:`~repro.scheduler.policy.SchedulePolicy`):
     #: limits on dp_work/wall/probes with status tiers, graceful
     #: degradation on exhaustion (``finalize_partial``) and leftover-budget
@@ -267,9 +259,6 @@ class VirtualClusterScheduler:
             tracker = PolicyTracker(policy, budget, started=start)
             tracker.attach(budget)
             engine.tracker = tracker
-            # Exhaustion recovery (rollback to the sequence entry) only
-            # matters when a partially-decided state will be finalized.
-            engine.recover_on_exhaustion = policy.finalizes_partial
         wall_limits = [
             limit
             for limit in (self.config.time_limit, policy.max_wall_s if policy else None)
@@ -392,9 +381,9 @@ class VirtualClusterScheduler:
         """Exhaustion under a ``finalize_partial`` policy.
 
         The shared state holds the best-so-far valid decision set
-        (exhaustion recovery rolled back the aborted deduction, so it is
-        consistent); freeze it and finalize cheaply — a list-scheduling
-        extraction over the partially-fixed scheduling graph
+        (:meth:`ProbeEngine.apply_sequence` rolled back the aborted
+        deduction, so it is consistent); freeze it and finalize cheaply —
+        a list-scheduling extraction over the partially-fixed scheduling graph
         (:func:`~repro.scheduler.policy.cheap_extraction`) — then emit the
         better of that extraction and the plain fallback schedule, so the
         output is never worse than the paper's timeout mechanism."""

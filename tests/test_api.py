@@ -119,7 +119,17 @@ class TestScheduleRequestWire:
         with pytest.raises(ValueError, match="unknown"):
             ScheduleRequest.from_dict(wire)
 
-    @pytest.mark.parametrize("knob", ["use_trail", "queue_mode", "probe_cache", "prune_candidates"])
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "use_trail",
+            "queue_mode",
+            "probe_cache",
+            "prune_candidates",
+            "probe_early_cut",
+            "eager_mapping",
+        ],
+    )
     def test_from_dict_rejects_removed_vcs_knobs(self, knob):
         """Deleted VcsConfig knobs fail loudly instead of being dropped."""
         wire = _request(paper_figure1_block()).to_dict()
@@ -176,7 +186,7 @@ class TestRuntimeConfig:
         config = RuntimeConfig.load(env={})
         assert config.jobs == 1
         assert config.scheduler == "vcs"
-        assert config.bench_blocks is None
+        assert config.bench_blocks == 2
         assert config.bench_budget == 60_000
         assert config.cache is True
         assert config.service_host == "127.0.0.1"

@@ -1,18 +1,21 @@
-"""The fix-cycles fast path: the optimistic early cut of a probe round.
+"""The fix-cycles early cut keeps every winner.
 
-``VcsConfig.probe_early_cut`` stops probing a cycle-pinning round once an
-optimistic score bound proves no remaining candidate cycle can beat the
-current ``(score, cycle)`` winner.  A Hypothesis property on random
-superblocks asserts its byte-level contract: the exact same schedules as
-the default configuration, with at most the default's work.
+A cycle-pinning round stops probing once
+:func:`repro.scheduler.pipeline.floor_rules_out` proves that no remaining
+candidate cycle can beat the current ``(score, cycle)`` winner.  The
+oracle here is the full probe: the same scheduler with that helper patched
+to never cut.  On random superblocks, through both VCS-derived backends,
+the cut must reproduce the oracle's schedules exactly while only ever
+skipping work.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import paper_2c_8i_1lat
-from repro.scheduler import VcsConfig, VirtualClusterScheduler
-from repro.workloads import GeneratorConfig, SuperblockGenerator
+from repro.scheduler import create, pipeline
+from repro.workloads import GeneratorConfig, SuperblockGenerator, fir_kernel
 
 
 def _random_block(seed: int, size: int, ilp: float):
@@ -36,14 +39,32 @@ def _fingerprint(result):
     return (result.awct_target_steps, result.fallback_used, body)
 
 
+def _full_probe(backend, block, machine):
+    """The oracle: *backend* with the early cut disabled."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "floor_rules_out", lambda floor, best_score: False)
+        return create(backend).schedule(block, machine)
+
+
 @given(seed=st.integers(0, 10_000), size=st.integers(5, 12), ilp=st.floats(1.5, 4.0))
 @settings(max_examples=8, deadline=None)
 def test_early_cut_keeps_schedules(seed, size, ilp):
-    """The opt-in early cut reproduces the default schedule exactly — same
-    (score, cycle) winners everywhere — while only ever skipping work."""
+    """Same (score, cycle) winners everywhere, at most the oracle's work."""
     block = _random_block(seed, size, ilp)
     machine = paper_2c_8i_1lat()
-    fast = VirtualClusterScheduler(VcsConfig(probe_early_cut=True)).schedule(block, machine)
-    oracle = VirtualClusterScheduler(VcsConfig()).schedule(block, machine)
-    assert _fingerprint(fast) == _fingerprint(oracle)
-    assert fast.work <= oracle.work
+    for backend in ("vcs", "hybrid"):
+        cut = create(backend).schedule(block, machine)
+        oracle = _full_probe(backend, block, machine)
+        assert _fingerprint(cut) == _fingerprint(oracle), backend
+        assert cut.work <= oracle.work, backend
+
+
+def test_early_cut_skips_probes():
+    """The cut fires on a real kernel, and the oracle never cuts."""
+    block, machine = fir_kernel(taps=3), paper_2c_8i_1lat()
+    cut = create("vcs").schedule(block, machine)
+    oracle = _full_probe("vcs", block, machine)
+    assert cut.stats["early_cut_skips"] > 0
+    assert oracle.stats["early_cut_skips"] == 0
+    assert cut.stats["probes"] + cut.stats["early_cut_skips"] == oracle.stats["probes"]
+    assert cut.work < oracle.work

@@ -177,7 +177,9 @@ class TestConfigLayer:
 class TestStagePipeline:
     def test_default_and_eager_orders(self):
         assert resolve_stage_order(VcsConfig()) == DEFAULT_STAGE_ORDER
-        assert resolve_stage_order(VcsConfig(eager_mapping=True)) == EAGER_STAGE_ORDER
+        assert (
+            resolve_stage_order(VcsConfig(stage_order=EAGER_STAGE_ORDER)) == EAGER_STAGE_ORDER
+        )
 
     def test_extraction_always_appended(self):
         order = resolve_stage_order(VcsConfig(stage_order=("combinations", "fix-cycles")))
@@ -205,14 +207,6 @@ class TestStagePipeline:
             VcsConfig(stage_order=DEFAULT_STAGE_ORDER)
         ).schedule(block, machine)
         assert default.fingerprint() == explicit.fingerprint()
-
-    def test_eager_flag_matches_explicit_eager_order(self):
-        block, machine = KERNELS[0], MACHINES[0]
-        flag = VirtualClusterScheduler(VcsConfig(eager_mapping=True)).schedule(block, machine)
-        explicit = VirtualClusterScheduler(
-            VcsConfig(stage_order=EAGER_STAGE_ORDER)
-        ).schedule(block, machine)
-        assert flag.fingerprint() == explicit.fingerprint()
 
     def test_stage_timings_reported(self):
         result = VirtualClusterScheduler().schedule(KERNELS[0], MACHINES[0])

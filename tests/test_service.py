@@ -191,12 +191,13 @@ class TestHttpIdentity:
         """A VCS config carrying a removed knob is refused with a 400, not
         scheduled under a silently defaulted config."""
         client = ServiceClient(server.url)
-        wire = _request(paper_figure1_block()).to_dict()
-        wire["backend"]["vcs"]["use_trail"] = False
-        with pytest.raises(ServiceError) as excinfo:
-            client._call("POST", "/api/v1/jobs", wire)
-        assert excinfo.value.status == 400
-        assert "invalid schedule request" in excinfo.value.message
+        for knob in ("use_trail", "probe_early_cut", "eager_mapping"):
+            wire = _request(paper_figure1_block()).to_dict()
+            wire["backend"]["vcs"][knob] = False
+            with pytest.raises(ServiceError) as excinfo:
+                client._call("POST", "/api/v1/jobs", wire)
+            assert excinfo.value.status == 400, knob
+            assert "invalid schedule request" in excinfo.value.message
         assert client.stats()["jobs"]["total"] == 0
 
     def test_unknown_job_is_404(self, server):

@@ -11,6 +11,7 @@ from repro.machine import (
     unified,
 )
 from repro.scheduler import CarsScheduler, VcsConfig, VirtualClusterScheduler, validate_schedule
+from repro.scheduler.pipeline import EAGER_STAGE_ORDER
 from repro.workloads import (
     dct_butterfly_kernel,
     dot_product_kernel,
@@ -145,7 +146,7 @@ class TestVcsConfigurations:
             assert validate_schedule(result.schedule).ok
 
     def test_eager_mapping_ablation_still_valid(self):
-        config = VcsConfig(eager_mapping=True)
+        config = VcsConfig(stage_order=EAGER_STAGE_ORDER)
         result = VirtualClusterScheduler(config).schedule(
             dct_butterfly_kernel(), paper_2c_8i_1lat()
         )
