@@ -8,9 +8,11 @@ contract the HTTP job server (:mod:`repro.service`) speaks:
 * :class:`ScheduleRequest` — one scheduling job as pure data (block,
   machine, backend spec, optional :class:`SchedulePolicy` budget), with
   a lossless JSON wire form (:meth:`ScheduleRequest.to_dict` /
-  :meth:`ScheduleRequest.from_dict`).  The wire round trip preserves
-  the content fingerprints, so a request submitted over HTTP hits the
-  same result-cache entry as the identical in-process job.
+  :meth:`ScheduleRequest.from_dict`).  Its ``block``/``machine``/
+  ``backend`` entries are the canonical form the result-cache key is
+  computed over (:func:`repro.scheduler.fingerprint.request_cache_key`),
+  so a request submitted over HTTP hits the same entry as the identical
+  in-process job.
 * :class:`ScheduleResponse` — the deterministic summary of one
   :class:`~repro.scheduler.schedule.ScheduleResult` (digest, dp_work,
   AWCT, fallback/policy provenance, cache outcome, failure taxonomy).
@@ -35,13 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.ir.depgraph import DependenceGraph, DepKind
-from repro.ir.operation import OpClass, Operation
 from repro.ir.superblock import Superblock
 from repro.machine.machine import ClusteredMachine
 from repro.machine.spec import MachineSpec
 from repro.runner.batch import BatchResult, BatchScheduler, JobFailure
-from repro.runner.jobs import ScheduleJob, _execute_job_batch, fingerprint_digest
+from repro.runner.cache import response_fields
+from repro.runner.jobs import ScheduleJob, _execute_job_batch
+from repro.scheduler.fingerprint import block_from_dict, block_to_dict
 from repro.scheduler.policy import SchedulePolicy
 from repro.scheduler.registry import BackendSpec, backend_info
 from repro.scheduler.schedule import ScheduleResult
@@ -54,77 +56,10 @@ from repro.scheduler.vcs import VcsConfig
 #: ``cancelled``.
 JOB_STATES = ("queued", "running", "cancelling", "done", "failed", "cancelled")
 
-
-# --------------------------------------------------------------------------- #
-# superblock wire form
-# --------------------------------------------------------------------------- #
-
-
-def block_to_dict(block: Superblock) -> dict:
-    """The lossless JSON form of a superblock.
-
-    Field-for-field the same structural description as
-    :func:`repro.scheduler.fingerprint.block_fingerprint`, so a block
-    that round-trips through the wire produces an identical block digest
-    and therefore the identical result-cache key.
-    """
-    return {
-        "name": block.name,
-        "operations": [
-            [
-                op.op_id,
-                op.opcode,
-                op.op_class.value,
-                op.latency,
-                list(op.dests),
-                list(op.srcs),
-                op.is_exit,
-                op.exit_prob,
-                op.speculative,
-            ]
-            for op in block.operations
-        ],
-        "edges": [
-            # Insertion-compatible order (not edges() order): replaying
-            # these through add_edge reproduces the original adjacency
-            # iteration orders, which dp_work depends on.
-            [edge.src, edge.dst, edge.kind.value, edge.latency, edge.value]
-            for edge in block.graph.ordered_edges()
-        ],
-        "execution_count": block.execution_count,
-        "live_ins": list(block.live_ins),
-        "live_outs": list(block.live_outs),
-    }
-
-
-def block_from_dict(data: Mapping) -> Superblock:
-    """Rebuild a superblock from :func:`block_to_dict` output."""
-    graph = DependenceGraph()
-    for op_id, opcode, op_class, latency, dests, srcs, is_exit, exit_prob, spec in data[
-        "operations"
-    ]:
-        graph.add_operation(
-            Operation(
-                op_id=op_id,
-                opcode=opcode,
-                op_class=OpClass(op_class),
-                latency=latency,
-                dests=tuple(dests),
-                srcs=tuple(srcs),
-                is_exit=is_exit,
-                exit_prob=exit_prob,
-                speculative=spec,
-            )
-        )
-    for src, dst, kind, latency, value in data["edges"]:
-        graph.add_edge(src, dst, DepKind(kind), latency, value)
-    return Superblock(
-        name=data["name"],
-        graph=graph,
-        execution_count=data["execution_count"],
-        live_ins=tuple(data["live_ins"]),
-        live_outs=tuple(data["live_outs"]),
-    )
+#: The keys a :meth:`ScheduleRequest.from_dict` payload may carry.
+REQUEST_KEYS = frozenset(
+    {"block", "machine", "backend", "policy", "check_schedule", "client", "job_name"}
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -223,11 +158,10 @@ class ScheduleRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScheduleRequest":
-        known = {"block", "machine", "backend", "policy", "check_schedule", "client", "job_name"}
-        unknown = set(data) - known
+        unknown = set(data) - REQUEST_KEYS
         if unknown:
             raise ValueError(
-                f"unknown ScheduleRequest keys {sorted(unknown)}; known: {sorted(known)}"
+                f"unknown ScheduleRequest keys {sorted(unknown)}; known: {sorted(REQUEST_KEYS)}"
             )
         spec = BackendSpec.from_dict(data.get("backend") or {"name": "vcs"})
         policy = data.get("policy")
@@ -327,24 +261,8 @@ class ScheduleResponse:
     def from_result(
         cls, job_id: str, result: ScheduleResult, cache: str = "", wall_s: float = 0.0
     ) -> "ScheduleResponse":
-        fingerprint = result.fingerprint()
         return cls(
-            job_id=job_id,
-            state="done",
-            scheduler=result.scheduler,
-            block=result.block.name,
-            machine=result.machine.name,
-            ok=result.ok,
-            work=result.work,
-            digest=fingerprint_digest([fingerprint]),
-            fingerprint=fingerprint,
-            awct=result.awct if result.ok else 0.0,
-            total_cycles=result.total_cycles if result.ok else 0.0,
-            fallback_used=result.fallback_used,
-            timed_out=result.timed_out,
-            policy=result.policy,
-            cache=cache,
-            wall_s=wall_s,
+            job_id=job_id, state="done", cache=cache, wall_s=wall_s, **response_fields(result)
         )
 
     @classmethod

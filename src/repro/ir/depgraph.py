@@ -200,9 +200,10 @@ class DependenceGraph:
         the per-node successor and predecessor orders back into one
         sequence: replaying ``add_edge`` over it yields a graph whose
         adjacency iteration orders match this one node for node.  The
-        wire format of :func:`repro.api.block_to_dict` serialises edges
-        in this order, which is what makes a wire round-tripped block
-        schedule byte-identically (digest *and* work counters).
+        wire format of :func:`repro.scheduler.fingerprint.block_to_dict`
+        serialises edges in this order, which is what makes a wire
+        round-tripped block schedule byte-identically (digest *and* work
+        counters) and what the result-cache key hashes.
 
         The greedy merge cannot deadlock: among the not-yet-emitted
         edges, the one inserted earliest originally is always at the

@@ -17,17 +17,22 @@ method).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.ir.superblock import Superblock
 from repro.machine.machine import ClusteredMachine
-from repro.runner.cache import CacheSpec, CacheStats, process_cache
+from repro.runner.cache import (
+    CacheSpec,
+    CacheStats,
+    process_cache,
+    resolve_cache_spec,
+    result_from_entry,
+)
 from repro.runner.pool import MachineRef, resolve_machine
 from repro.scheduler.correctness import validate_schedule
+from repro.scheduler.fingerprint import fingerprint_digest as fingerprint_digest
 from repro.scheduler.fingerprint import schedule_cache_key
 from repro.scheduler.registry import BackendSpec, backend_info
 from repro.scheduler.schedule import ScheduleResult
@@ -139,18 +144,6 @@ def _run_payload_job(payload: JobPayload) -> ScheduleResult:
     return result
 
 
-def _resolve_cache_spec(cache: object) -> CacheSpec:
-    if cache is None:
-        return CacheSpec.from_env()
-    if isinstance(cache, CacheSpec):
-        return cache
-    spec = getattr(cache, "spec", None)
-    if callable(spec):
-        # A ResultCache instance.
-        return spec()
-    raise TypeError(f"cache must be None, a CacheSpec or a ResultCache, got {type(cache).__name__}")
-
-
 def _execute_job_batch(
     jobs: Sequence[ScheduleJob],
     runner: Optional["BatchScheduler"] = None,
@@ -160,12 +153,15 @@ def _execute_job_batch(
     """Run a job list through the (cached, machine-interned) batch runner.
 
     The execution core behind :func:`repro.api.schedule_many` (the public
-    entry point) and the HTTP job server.  Jobs are keyed by content
-    (:func:`repro.scheduler.fingerprint.schedule_cache_key`) and every
-    key is looked up in the on-disk result cache here, in the calling
-    process: hits are answered without touching the runner, and only
-    the misses reach ``runner.map``, whose workers compute and store
-    them.  An all-hit batch therefore never spins up or occupies the
+    entry point) and the HTTP job server's slow path.  Jobs are keyed by
+    their canonical wire form
+    (:func:`repro.scheduler.fingerprint.schedule_cache_key`, the same key
+    the job server computes from a request body) and every key is looked
+    up in the on-disk result cache here, in the calling process: a hit's
+    ``ScheduleResult`` is rebuilt from its JSON entry plus the job's own
+    block and machine without touching the runner, and only the misses
+    reach ``runner.map``, whose workers compute them and store JSON
+    entries.  An all-hit batch therefore never spins up or occupies the
     pool.  ``cache=None`` follows the environment
     (``REPRO_CACHE``/``REPRO_CACHE_DIR``); pass
     :meth:`CacheSpec.disabled() <repro.runner.cache.CacheSpec.disabled>`
@@ -182,7 +178,7 @@ def _execute_job_batch(
         raise ValueError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
     start = time.perf_counter()
     runner = runner if runner is not None else BatchScheduler()
-    spec = _resolve_cache_spec(cache)
+    spec = resolve_cache_spec(cache)
     cache_handle = process_cache(spec)
     jobs = list(jobs)
 
@@ -194,9 +190,9 @@ def _execute_job_batch(
         key = ""
         if cache_handle is not None:
             key = schedule_cache_key(job.block, job.machine, job.spec.to_dict(), salt=spec.salt)
-            hit = cache_handle.get(key)
-            if hit is not None:
-                values[index] = hit
+            entry = cache_handle.get(key)
+            if entry is not None:
+                values[index] = result_from_entry(entry, job.block, job.machine)
                 outcomes[index] = "hit"
                 continue
         misses.append(index)
@@ -275,13 +271,3 @@ def enumerate_workload_jobs(
                 )
             )
     return jobs
-
-
-def fingerprint_digest(fingerprints: Iterable[object]) -> str:
-    """A stable hex digest of a sequence of schedule fingerprints.
-
-    Used by ``scripts/bench_report.py`` and the CI perf-regression gate to
-    compare schedule populations byte-for-byte without storing them.
-    """
-    canonical = json.dumps(list(fingerprints), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

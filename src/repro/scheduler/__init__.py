@@ -47,6 +47,7 @@ from repro.scheduler.fingerprint import (
     CODE_SALT,
     block_digest,
     machine_digest,
+    request_cache_key,
     schedule_cache_key,
     spec_digest,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "CODE_SALT",
     "block_digest",
     "machine_digest",
+    "request_cache_key",
     "schedule_cache_key",
     "spec_digest",
     "VcsConfig",

@@ -1,28 +1,30 @@
-"""Content digests of scheduling-job inputs: the result-cache key material.
+"""The canonical wire form of a scheduling job and its result-cache key.
 
 A :class:`~repro.scheduler.schedule.ScheduleResult` is a pure function of
 three inputs — the superblock, the machine and the backend configuration
-— plus the code that interprets them.  This module canonicalises each
-input into a JSON-stable structure and hashes it, so the disk-backed
-result cache (:mod:`repro.runner.cache`) can key stored results by
-*content* rather than by object identity or name:
+— plus the code that interprets them.  Each input has one lossless JSON
+wire form, and the cache key is the hash of those wire forms, so the
+batch runner (which holds objects) and the job server (which holds the
+raw request body) derive the same key without an import cycle or an
+object round trip:
 
-* :func:`block_digest` — operations (id, opcode, class, latency,
-  registers, exit probability, speculation) plus dependence edges,
-  execution count and live-in/out sets, prefixed by the block name (two
-  identically-named blocks with different bodies never collide, and two
-  identical bodies under different names stay distinct because the name
-  is part of every :meth:`Schedule.fingerprint`).
-* :func:`machine_digest` — the declarative
-  :class:`~repro.machine.spec.MachineSpec` dict of the machine (clusters,
-  functional-unit mixes, interconnect topology/latency/channels,
-  register-file limits).  Also the key under which warm pool workers
-  intern reconstructed machines (:mod:`repro.runner.pool`).
-* :func:`spec_digest` / :func:`schedule_cache_key` — the
-  :class:`~repro.scheduler.registry.BackendSpec` dict (backend name,
-  full ``VcsConfig`` including any budget policy, backend options)
-  folded together with the block and machine digests and a
-  code-version salt into the final cache key.
+* :func:`block_to_dict` / :func:`block_from_dict` — the superblock wire
+  form: operations in block order, dependence edges in the
+  insertion-compatible order of
+  :meth:`~repro.ir.depgraph.DependenceGraph.ordered_edges`, execution
+  count, live-in/out sets and the block name.  Edge order is part of the
+  form because ``dp_work`` depends on it; :func:`block_digest` hashes it.
+* :func:`machine_fingerprint` / :func:`machine_digest` — the declarative
+  :class:`~repro.machine.spec.MachineSpec` dict of the machine.  Also the
+  key under which warm pool workers intern reconstructed machines
+  (:mod:`repro.runner.pool`).
+* :func:`request_cache_key` — the key over the canonical request form:
+  the ``block``, ``machine``, ``backend`` (and, when emitted, ``policy``)
+  entries of :meth:`repro.api.ScheduleRequest.to_dict`, plus the
+  code-version salt.  :func:`schedule_cache_key` builds that form from
+  objects.
+* :func:`fingerprint_digest` — the digest algebra over schedule
+  fingerprints shared by responses, cache entries and the perf gate.
 
 The salt (:data:`CODE_SALT`) names the behaviour revision of the
 scheduler: bump it whenever a change legitimately moves ``dp_work`` or
@@ -34,8 +36,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Mapping, Optional
+from typing import Iterable, Mapping
 
+from repro.ir.depgraph import DependenceGraph, DepKind
+from repro.ir.operation import OpClass, Operation
 from repro.ir.superblock import Superblock
 from repro.machine.machine import ClusteredMachine
 from repro.machine.spec import MachineSpec
@@ -45,6 +49,11 @@ from repro.machine.spec import MachineSpec
 #: (the same changes that regenerate BENCH_vcs.json) so stale cache
 #: entries can never masquerade as fresh results.
 CODE_SALT = "2026.10-pr15"
+
+#: The entries of a ``ScheduleRequest.to_dict()`` that the cache key
+#: covers; ``client``, ``job_name`` and ``check_schedule`` do not change
+#: the result and are left out.
+KEY_FIELDS = ("block", "machine", "backend", "policy")
 
 
 def canonical_json(payload: object) -> str:
@@ -56,43 +65,76 @@ def _sha256(payload: object) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def block_fingerprint(block: Superblock) -> list:
-    """A JSON-stable structural description of one superblock."""
-    ops = [
-        [
-            op.op_id,
-            op.opcode,
-            op.op_class.value,
-            op.latency,
-            list(op.dests),
-            list(op.srcs),
-            op.is_exit,
-            op.exit_prob,
-            op.speculative,
-        ]
-        for op in block.operations
-    ]
-    edges = sorted(
-        [edge.src, edge.dst, edge.kind.value, edge.latency, edge.value or ""]
-        for edge in block.graph.edges()
+def block_to_dict(block: Superblock) -> dict:
+    """The lossless JSON form of a superblock.
+
+    Edges come in insertion-compatible order (not ``edges()`` order):
+    replaying them through ``add_edge`` reproduces the original adjacency
+    iteration orders, which ``dp_work`` depends on.
+    """
+    return {
+        "name": block.name,
+        "operations": [
+            [
+                op.op_id,
+                op.opcode,
+                op.op_class.value,
+                op.latency,
+                list(op.dests),
+                list(op.srcs),
+                op.is_exit,
+                op.exit_prob,
+                op.speculative,
+            ]
+            for op in block.operations
+        ],
+        "edges": [
+            [edge.src, edge.dst, edge.kind.value, edge.latency, edge.value]
+            for edge in block.graph.ordered_edges()
+        ],
+        "execution_count": block.execution_count,
+        "live_ins": list(block.live_ins),
+        "live_outs": list(block.live_outs),
+    }
+
+
+def block_from_dict(data: Mapping) -> Superblock:
+    """Rebuild a superblock from :func:`block_to_dict` output."""
+    graph = DependenceGraph()
+    for op_id, opcode, op_class, latency, dests, srcs, is_exit, exit_prob, spec in data[
+        "operations"
+    ]:
+        graph.add_operation(
+            Operation(
+                op_id=op_id,
+                opcode=opcode,
+                op_class=OpClass(op_class),
+                latency=latency,
+                dests=tuple(dests),
+                srcs=tuple(srcs),
+                is_exit=is_exit,
+                exit_prob=exit_prob,
+                speculative=spec,
+            )
+        )
+    for src, dst, kind, latency, value in data["edges"]:
+        graph.add_edge(src, dst, DepKind(kind), latency, value)
+    return Superblock(
+        name=data["name"],
+        graph=graph,
+        execution_count=data["execution_count"],
+        live_ins=tuple(data["live_ins"]),
+        live_outs=tuple(data["live_outs"]),
     )
-    return [
-        block.name,
-        ops,
-        edges,
-        block.execution_count,
-        sorted(block.live_ins),
-        sorted(block.live_outs),
-    ]
 
 
 def block_digest(block: Superblock) -> str:
-    """SHA-256 digest of :func:`block_fingerprint`."""
-    return _sha256(block_fingerprint(block))
+    """SHA-256 digest of the block's wire form (edge order included)."""
+    return _sha256(block_to_dict(block))
 
 
 def machine_fingerprint(machine: ClusteredMachine) -> dict:
-    """The declarative spec dict describing *machine* (JSON-stable)."""
+    """The declarative spec dict describing *machine* (its wire form)."""
     return MachineSpec.from_machine(machine).to_dict()
 
 
@@ -106,27 +148,41 @@ def spec_digest(spec_dict: Mapping) -> str:
     return _sha256(spec_dict)
 
 
+def request_cache_key(wire: Mapping, salt: str = CODE_SALT) -> str:
+    """The content-addressed cache key of one request wire dict.
+
+    Hashes the :data:`KEY_FIELDS` entries *wire* carries, plus *salt*.
+    On a canonical ``ScheduleRequest.to_dict()`` this is the key the
+    batch runner derives from the same job's objects; any other spelling
+    of the same request gets a key no entry is stored under.
+    """
+    payload = {field: wire[field] for field in KEY_FIELDS if field in wire}
+    payload["salt"] = salt
+    return _sha256(payload)
+
+
 def schedule_cache_key(
     block: Superblock,
     machine: ClusteredMachine,
     spec_dict: Mapping,
     salt: str = CODE_SALT,
-    extra: Optional[Mapping] = None,
 ) -> str:
-    """The content-addressed cache key of one scheduling job.
-
-    Folds the block digest, the machine digest, the backend-spec dict and
-    the code-version *salt* (plus any *extra* caller-provided coordinates)
-    into one SHA-256 hex key.  Everything a
-    :class:`~repro.scheduler.schedule.ScheduleResult` depends on is in the
-    key; nothing host- or wall-clock-dependent is.
-    """
-    payload = {
-        "salt": salt,
-        "block": block_digest(block),
-        "machine": machine_digest(machine),
+    """The cache key of one job given as objects: :func:`request_cache_key`
+    over its canonical wire form (*spec_dict* is ``BackendSpec.to_dict()``
+    with any policy merged into its ``vcs`` entry)."""
+    wire = {
+        "block": block_to_dict(block),
+        "machine": machine_fingerprint(machine),
         "backend": dict(spec_dict),
     }
-    if extra:
-        payload["extra"] = dict(extra)
-    return _sha256(payload)
+    return request_cache_key(wire, salt)
+
+
+def fingerprint_digest(fingerprints: Iterable[object]) -> str:
+    """A stable hex digest of a sequence of schedule fingerprints.
+
+    Used by responses, cache entries, ``scripts/bench_report.py`` and the
+    CI perf-regression gate to compare schedule populations
+    byte-for-byte without storing them.
+    """
+    return _sha256(list(fingerprints))

@@ -3,8 +3,9 @@
 Just enough protocol for the job server's JSON API — no routing
 framework, no keep-alive, no chunked encoding.  Every exchange is one
 request, one JSON response, ``Connection: close``; the parser enforces
-small hard limits on header and body sizes so a misbehaving client
-cannot balloon server memory.
+small hard limits on header and body sizes, and read deadlines on both,
+so a misbehaving client can neither balloon server memory nor hold a
+handler open.
 """
 
 from __future__ import annotations
@@ -19,6 +20,13 @@ from urllib.parse import parse_qs, unquote, urlsplit
 #: body (a large superblock serialises to well under 1 MiB).
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Read deadlines in seconds: a client that has not sent its complete
+#: request head, or then its complete body, within these gets a 408 and
+#: the connection is closed, so an idle or half-open socket cannot pin a
+#: handler.  They bound reading the request only, never a long poll.
+HEADER_TIMEOUT_S = 10.0
+BODY_TIMEOUT_S = 30.0
 
 REASONS = {
     200: "OK",
@@ -73,7 +81,9 @@ class Request:
 async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request off the stream; ``None`` on a clean EOF."""
     try:
-        head = await reader.readuntil(b"\r\n\r\n")
+        head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), HEADER_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        raise HttpError(408, f"request head not received within {HEADER_TIMEOUT_S}s") from None
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
@@ -112,7 +122,9 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         raise HttpError(400, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
     if length:
         try:
-            body = await reader.readexactly(length)
+            body = await asyncio.wait_for(reader.readexactly(length), BODY_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            raise HttpError(408, f"request body not received within {BODY_TIMEOUT_S}s") from None
         except asyncio.IncompleteReadError:
             raise HttpError(400, "truncated request body") from None
 

@@ -38,6 +38,7 @@ class ServiceJob:
     client: str
     #: The decoded request; released (``None``) once the job is
     #: dispatched or cancelled, so a finished job does not keep its block.
+    #: A cache hit answered at submit never has one.
     request: Optional[ScheduleRequest]
     state: str = "queued"
     detail: str = ""

@@ -1,24 +1,35 @@
 """The asyncio job server and its background-thread harness.
 
 :class:`JobServer` accepts :class:`repro.api.ScheduleRequest` JSON over
-a small HTTP/1.1 API, queues it in the fair per-client queue, and runs
-each job through :func:`repro.api.schedule_many` on its own worker
-thread — the *exact* batch-runner path (shared persistent pool,
-machine interning, content-addressed result cache), so HTTP results are
-byte-identical to batch results and repeated submissions are cache
-hits.
+a small HTTP/1.1 API.  A cache hit is answered inside the POST handler:
+the raw body is keyed as it stands
+(:func:`repro.scheduler.fingerprint.request_cache_key`, the key the
+batch path derives from the same job's objects), and the reply carries
+the finished job and its response, read straight off the JSON cache
+entry.  No ``Superblock``, ``ClusteredMachine`` or ``ScheduleResult`` is
+built, and the job never enters the queue, the dispatcher or a thread.
+This fast path is taken only for a self-contained body — one that brings
+its own policy, or whose tenant has no default policy — and a body
+spelled other than canonically simply misses it.
 
-The dispatcher keeps up to ``max_batch`` jobs in flight.  Whenever a
-slot frees it takes the next fair-queue round for the free slots and
-starts each job on its own: a cache hit is answered from the cache in
-the server process, a miss runs on the warm worker pool, and each job
-is folded into its response as soon as it finishes, so a hit never
-waits behind a miss.
+Every other request is decoded, queued in the fair per-client queue and
+run through :func:`repro.api.schedule_many` on its own worker thread —
+the *exact* batch-runner path (shared persistent pool, machine
+interning, content-addressed result cache), so HTTP results are
+byte-identical to batch results and repeated submissions are cache
+hits.  The dispatcher keeps up to ``max_batch`` jobs in flight.
+Whenever a slot frees it takes the next fair-queue round for the free
+slots and starts each job on its own: a hit found on this path is
+answered from the cache in the server process, a miss runs on the warm
+worker pool, and each job is folded into its response as soon as it
+finishes, so a hit never waits behind a miss.
 
 Endpoints (all JSON, ``Connection: close``)::
 
     GET  /api/v1/health                   liveness + version
-    POST /api/v1/jobs                     submit; body = ScheduleRequest.to_dict()
+    POST /api/v1/jobs                     submit; body = ScheduleRequest.to_dict();
+                                          a cache hit replies ``done`` with its
+                                          ScheduleResponse
     GET  /api/v1/jobs/<id>                JobStatus snapshot
     GET  /api/v1/jobs/<id>/result[?timeout=S]
                                           long-poll; 200 + ScheduleResponse when
@@ -51,10 +62,11 @@ from dataclasses import replace
 from typing import Dict, Optional, Set, Tuple
 
 import repro
-from repro.api import JobStatus, ScheduleRequest, ScheduleResponse, schedule_many
+from repro.api import REQUEST_KEYS, JobStatus, ScheduleRequest, ScheduleResponse, schedule_many
 from repro.config import RuntimeConfig
 from repro.runner.batch import BatchResult, BatchScheduler, JobFailure
-from repro.runner.cache import CacheSpec, CacheStats
+from repro.runner.cache import CacheSpec, CacheStats, process_cache, resolve_cache_spec
+from repro.scheduler.fingerprint import request_cache_key
 from repro.scheduler.policy import SchedulePolicy
 from repro.service.http import HttpError, Request, encode_response, read_request, split_path
 from repro.service.queue import ClientState, FairQueue, ServiceJob
@@ -69,7 +81,10 @@ class JobServer:
     (``REPRO_JOBS``, ``REPRO_CACHE``/``REPRO_CACHE_DIR``), exactly like
     the batch entry points.  ``max_batch`` bounds the jobs in flight at
     once (default: the runner's worker count, so concurrent misses
-    saturate the pool without letting one tenant monopolise it).
+    saturate the pool without letting one tenant monopolise it).  Hits
+    answered at submit never take a slot: they are finished inside the
+    POST handler with the same per-client accounting and ``cache_stats``
+    as a job folded by the dispatcher, but without a dispatch round.
     """
 
     def __init__(
@@ -88,6 +103,8 @@ class JobServer:
         timeout = job_timeout if job_timeout is not None else config.service_timeout
         self.runner = runner if runner is not None else BatchScheduler(timeout=timeout)
         self.cache = cache if cache is not None else CacheSpec.from_env(enabled=config.cache)
+        #: The handle the POST handler answers hits from (``None`` = off).
+        self._result_cache = process_cache(resolve_cache_spec(self.cache))
         self.max_batch = max_batch if max_batch is not None else self.runner.n_workers
         if self.max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
@@ -237,6 +254,16 @@ class JobServer:
         payload = request.json()
         if not isinstance(payload, dict):
             raise HttpError(400, "expected a JSON object (ScheduleRequest.to_dict())")
+        unknown = set(payload) - REQUEST_KEYS
+        if unknown:
+            raise HttpError(
+                400,
+                f"invalid schedule request: unknown ScheduleRequest keys {sorted(unknown)}; "
+                f"known: {sorted(REQUEST_KEYS)}",
+            )
+        hit = self._answer_from_cache(payload)
+        if hit is not None:
+            return 200, {"job": self._status(hit).to_dict(), "response": hit.response.to_dict()}
         try:
             schedule_request = ScheduleRequest.from_dict(payload)
         except Exception as exc:
@@ -256,20 +283,51 @@ class JobServer:
             except ValueError as exc:
                 raise HttpError(400, f"client policy rejected: {exc}") from None
 
-        self._counter += 1
-        job = ServiceJob(
-            job_id=f"j-{self._counter:06d}",
-            client=schedule_request.client,
-            request=schedule_request,
-            submitted_s=self._now(),
-            done=asyncio.Event(),
-        )
-        self.jobs[job.job_id] = job
+        job = self._new_job(schedule_request.client, schedule_request)
         self.queue.push(job)
         client.submitted += 1
         assert self._wakeup is not None
         self._wakeup.set()
         return 200, {"job": self._status(job).to_dict()}
+
+    def _new_job(self, client: str, request: Optional[ScheduleRequest]) -> ServiceJob:
+        self._counter += 1
+        job = ServiceJob(
+            job_id=f"j-{self._counter:06d}",
+            client=client,
+            request=request,
+            submitted_s=self._now(),
+            done=asyncio.Event(),
+        )
+        self.jobs[job.job_id] = job
+        return job
+
+    def _answer_from_cache(self, payload: dict) -> Optional[ServiceJob]:
+        """Finish a self-contained request from its cache entry, or ``None``.
+
+        The raw body is keyed as it stands: a canonical body gets the key
+        its job would get on the batch path, and any other spelling misses
+        here and takes the slow path, which keys the decoded request.  A
+        body without a policy of its own is keyed only when its tenant has
+        no default policy, because the default would change the request.
+        """
+        if self._result_cache is None:
+            return None
+        name = str(payload.get("client", "default"))
+        client = self.clients.get(name)
+        if client is not None and client.policy is not None and not _brings_policy(payload):
+            return None
+        entry = self._result_cache.get(request_cache_key(payload, self._result_cache.salt))
+        if entry is None:
+            return None
+        job = self._new_job(name, None)
+        job.started_s = job.submitted_s
+        self._client(name).submitted += 1
+        self.cache_stats.record("hit")
+        self._finish_done(
+            job, ScheduleResponse(job_id=job.job_id, state="done", cache="hit", **entry["response"])
+        )
+        return job
 
     async def _result(self, job: ServiceJob, timeout: Optional[float]) -> Tuple[int, object]:
         if not job.terminal:
@@ -396,19 +454,23 @@ class JobServer:
             )
             self._finish_failure(job, failure)
             return
-        now = self._now()
-        job.response = ScheduleResponse.from_result(
+        response = ScheduleResponse.from_result(
             job.job_id,
             value,
             cache=result.cache_outcomes[0] if result.cache_outcomes else "",
-            wall_s=now - job.started_s,
         )
+        self._finish_done(job, response)
+
+    def _finish_done(self, job: ServiceJob, response: ScheduleResponse) -> None:
+        """Land *job* in ``done`` with *response* and account it to its client."""
+        now = self._now()
+        job.response = replace(response, wall_s=now - job.started_s)
         job.state = "done"
         job.finished_s = now
         client = self._client(job.client)
         client.completed += 1
-        client.dp_work += value.work
-        if value.policy is not None and value.policy.get("partial_finalize"):
+        client.dp_work += response.work
+        if response.policy is not None and response.policy.get("partial_finalize"):
             client.partial_finalizes += 1
         assert isinstance(job.done, asyncio.Event)
         job.done.set()
@@ -440,6 +502,15 @@ class JobServer:
             client.failed += 1
         assert isinstance(job.done, asyncio.Event)
         job.done.set()
+
+
+def _brings_policy(payload: dict) -> bool:
+    """Whether a request body carries a budget policy of its own."""
+    backend = payload.get("backend")
+    vcs = backend.get("vcs") if isinstance(backend, dict) else None
+    return payload.get("policy") is not None or (
+        isinstance(vcs, dict) and vcs.get("policy") is not None
+    )
 
 
 class ServerThread:

@@ -4,22 +4,25 @@ The invariant under test: a cache **hit** is byte-identical to a cold
 compute — same schedule fingerprint, same deterministic work counter,
 same stats dict — for any (block, machine, backend) triple, because the
 cache key covers exactly the inputs the scheduler's determinism is
-stated over.  Alongside it: invalidation on the code-version salt,
-atomicity under concurrent writers, corrupt-entry recovery, and the
-environment knobs (``REPRO_CACHE``/``REPRO_CACHE_DIR``).
+stated over, edge order included.  Alongside it: invalidation on the
+code-version salt, atomicity under concurrent writers, recovery from
+corrupt or foreign JSON entries, and the environment knobs
+(``REPRO_CACHE``/``REPRO_CACHE_DIR``).
 """
 
+import json
 import multiprocessing
 import os
-import pickle
+import random
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import paper_2c_8i_1lat, paper_4c_16i_1lat, paper_4c_16i_2lat
-from repro.api import schedule_many
+from repro.api import ScheduleRequest, schedule_many
 from repro.runner import (
     BatchScheduler,
     CacheSpec,
@@ -28,10 +31,16 @@ from repro.runner import (
     cache_enabled,
     default_cache_dir,
     enumerate_workload_jobs,
+    fingerprint_digest,
+    run_schedule_job,
     shared_pool_stats,
 )
+from repro.runner.cache import result_entry, result_from_entry
 from repro.scheduler import VcsConfig, block_digest, machine_digest, schedule_cache_key
-from repro.workloads import GeneratorConfig, SuperblockGenerator
+from repro.scheduler.fingerprint import block_from_dict, block_to_dict
+from repro.scheduler.policy import SchedulePolicy
+from repro.service import ServerThread, ServiceClient
+from repro.workloads import GeneratorConfig, SuperblockGenerator, profile_by_name
 
 MACHINES = {
     "2c": paper_2c_8i_1lat,
@@ -126,13 +135,74 @@ class TestCacheKey:
 
 
 # --------------------------------------------------------------------------- #
+# edge order is part of the key
+# --------------------------------------------------------------------------- #
+def _go_block():
+    """``099.go/c0000``: the first block of the compile workload at seed 3
+    (the 099.go profile, reseeded by the workload's first draw, at the
+    middle of its size range)."""
+    profile = profile_by_name("099.go")
+    seed = random.Random("perfbench|compile|3").randrange(1 << 31)
+    config = profile.generator
+    n_ops = config.min_ops + (config.max_ops - config.min_ops + 1) // 2
+    generator = SuperblockGenerator(replace(config, min_ops=n_ops, max_ops=n_ops), seed)
+    return generator.generate("099.go/c0000", index=0)
+
+
+def _shuffled_edges(block, seed=0):
+    """*block* rebuilt with its edges inserted in a shuffled order."""
+    wire = block_to_dict(block)
+    random.Random(seed).shuffle(wire["edges"])
+    return block_from_dict(wire)
+
+
+class TestEdgeOrderKey:
+    def test_shuffled_edges_get_their_own_key(self):
+        block = _go_block()
+        twin = _shuffled_edges(block)
+        machine = paper_2c_8i_1lat()
+        spec_dict = ScheduleRequest(block=block, machine=machine).spec.to_dict()
+        assert block_digest(twin) != block_digest(block)
+        assert schedule_cache_key(twin, machine, spec_dict) != schedule_cache_key(
+            block, machine, spec_dict
+        )
+
+    def test_warm_http_hit_matches_a_cold_compute_of_the_same_body(self, tmp_path):
+        """dp_work depends on edge insertion order, so an edge-shuffled twin
+        must never be served the original's entry: its warm hit reports the
+        work and digest of a cold in-process compute of its own body."""
+        budget = SchedulePolicy("finalize_partial", max_dp_work=20000)
+        request = ScheduleRequest(block=_go_block(), machine=paper_2c_8i_1lat(), policy=budget)
+        twin = replace(request, block=_shuffled_edges(request.block))
+        body = json.loads(json.dumps(twin.to_dict()))
+        cold = run_schedule_job(ScheduleRequest.from_dict(body).job())
+        with ServerThread(
+            runner=BatchScheduler(jobs=1), cache=CacheSpec(root=str(tmp_path))
+        ) as server:
+            client = ServiceClient(server.url)
+            original = client.schedule(request)
+            first = client.schedule(twin)
+            warm = client.schedule(twin)
+        assert (original.work, cold.work) == (3656, 3620)
+        assert (first.cache, warm.cache) == ("miss", "hit")
+        assert warm.work == first.work == cold.work
+        assert warm.digest == fingerprint_digest([cold.fingerprint()])
+
+
+# --------------------------------------------------------------------------- #
 # atomicity and corruption
 # --------------------------------------------------------------------------- #
+def _result():
+    """One small finished vcs result to store."""
+    job = _jobs_for(_random_block(5, 8, 2.0), paper_2c_8i_1lat(), "vcs")[0]
+    return run_schedule_job(job)
+
+
 def _store_same_key(args):
-    """Worker: open the cache and store *value* under *key*."""
-    root, key, value = args
+    """Worker: open the cache and store *result* under *key*."""
+    root, key, result = args
     cache = ResultCache(root)
-    cache.put(key, value)
+    cache.put(key, result)
     return cache.get(key)
 
 
@@ -143,32 +213,68 @@ class TestAtomicity:
         reader never observes a partial write."""
         root = str(tmp_path)
         key = "ab" + "0" * 62
-        payload = {"answer": list(range(1000))}
+        result = _result()
+        entry = json.loads(json.dumps(result_entry(key, result)))
         with multiprocessing.get_context("spawn").Pool(2) as pool:
-            results = pool.map(
-                _store_same_key, [(root, key, payload), (root, key, payload)]
-            )
-        assert results == [payload, payload]
-        assert ResultCache(root).get(key) == payload
+            results = pool.map(_store_same_key, [(root, key, result), (root, key, result)])
+        assert results == [entry, entry]
+        assert ResultCache(root).get(key) == entry
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         key = "cd" + "1" * 62
-        cache.put(key, {"ok": True})
+        cache.put(key, _result())
         path = cache._path(key)
-        path.write_bytes(b"not a pickle")
+        path.write_bytes(b"not json")
         assert cache.get(key) is None
         assert not path.exists(), "corrupt entries must be evicted"
         assert cache.get(key) is None
 
-    def test_put_then_get_round_trips_pickle_exactly(self, tmp_path):
+    @pytest.mark.parametrize(
+        "foreign",
+        [
+            b'{"answer": 42}',
+            b"[1, 2, 3]",
+            b"null",
+            b'{"key": "x", "response": {}, "schedule": null, "wall_time": 0,'
+            b' "awct_target_steps": 0, "stats": {}, "stage_timings": {}}',
+        ],
+    )
+    def test_foreign_json_is_a_miss_and_removed(self, tmp_path, foreign):
+        cache = ResultCache(str(tmp_path))
+        key = "cd" + "3" * 62
+        cache.put(key, _result())
+        path = cache._path(key)
+        path.write_bytes(foreign)
+        assert cache.get(key) is None
+        assert not path.exists()
+
+    def test_entry_of_another_key_is_foreign(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        key, other = "aa" + "4" * 62, "aa" + "5" * 62
+        cache.put(key, _result())
+        cache._path(key).rename(cache._path(other))
+        assert cache.get(other) is None
+
+    def test_put_then_get_round_trips_json_exactly(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         key = "ef" + "2" * 62
-        value = {"nested": [1, (2, 3), {"x": 4.5}]}
-        cache.put(key, value)
-        raw = pickle.loads(cache._path(key).read_bytes())
-        assert raw == value == cache.get(key)
+        result = _result()
+        cache.put(key, result)
+        path = cache._path(key)
+        assert path.suffix == ".json"
+        entry = cache.get(key)
+        assert json.loads(path.read_text()) == entry
+        assert entry == json.loads(json.dumps(result_entry(key, result)))
         assert key in cache
+        rebuilt = result_from_entry(entry, result.block, result.machine)
+        assert rebuilt.fingerprint() == result.fingerprint()
+        assert rebuilt.schedule.cycles == result.schedule.cycles
+        assert list(rebuilt.schedule.cycles) == list(result.schedule.cycles)
+        assert rebuilt.schedule.comms == result.schedule.comms
+        assert rebuilt.awct == result.awct
+        for name in ("work", "wall_time", "awct_target_steps", "stats", "stage_timings"):
+            assert getattr(rebuilt, name) == getattr(result, name), name
 
 
 # --------------------------------------------------------------------------- #

@@ -12,21 +12,29 @@ jobs (budget exhaustion lands as a ``finalize_partial`` result), and
 cancellation works both while queued (immediate) and mid-run
 (cooperative).  On a multi-worker pool, jobs overlap: a warm hit is
 answered while a miss is still running, and a per-job timeout preempts
-a running job without wedging the server.
+a running job without wedging the server.  A warm hit of a
+self-contained body is answered inside the POST handler, with the same
+accounting as a hit found on the slow path, and read deadlines keep an
+idle or half-sent request from pinning a handler.
 """
 
+import json
+import pickle
 import random
+import socket
 import threading
 import time
+from http.client import HTTPConnection
 
 import pytest
 
 from repro.api import ScheduleRequest, schedule_many
 from repro.machine import paper_2c_8i_1lat
 from repro.runner import BatchScheduler, CacheSpec, fingerprint_digest, shared_pool
-from repro.scheduler import VcsConfig
+from repro.scheduler import CODE_SALT, VcsConfig, request_cache_key
 from repro.scheduler.policy import SchedulePolicy
 from repro.service import ServerThread, ServiceClient, ServiceError
+from repro.service import http as service_http
 from repro.service.queue import FairQueue, ServiceJob
 from repro.workloads import (
     GeneratorConfig,
@@ -204,6 +212,223 @@ class TestHttpIdentity:
         with pytest.raises(ServiceError) as excinfo:
             ServiceClient(server.url).status("j-999999")
         assert excinfo.value.status == 404
+
+
+# --------------------------------------------------------------------------- #
+# cache hits answered at submit
+# --------------------------------------------------------------------------- #
+def _post_raw(url, body: bytes):
+    """POST *body* as it stands; returns (status, decoded reply)."""
+    host, port = url.split("//", 1)[1].split(":")
+    connection = HTTPConnection(host, int(port), timeout=60)
+    try:
+        connection.request("POST", "/api/v1/jobs", body=body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def _reordered(value):
+    """*value* with the key order of every nested dict reversed."""
+    if isinstance(value, dict):
+        return {key: _reordered(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [_reordered(item) for item in value]
+    return value
+
+
+def _entry_paths(root):
+    return sorted((root / CODE_SALT).rglob("*.json"))
+
+
+_UNPICKLED = []
+
+
+def _record_unpickle():
+    _UNPICKLED.append(True)
+    return None
+
+
+class _Tripwire:
+    """Unpickling this records the fact in ``_UNPICKLED``."""
+
+    def __reduce__(self):
+        return (_record_unpickle, ())
+
+
+class TestFastPath:
+    def test_warm_hit_is_done_in_the_post_reply(self, server):
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block())
+        cold = client.schedule(request)
+        rounds = client.stats()["rounds_dispatched"]
+        status, reply = _post_raw(server.url, json.dumps(request.to_dict()).encode())
+        assert status == 200
+        assert reply["job"]["state"] == "done"
+        assert reply["response"]["cache"] == "hit"
+        assert reply["response"]["digest"] == cold.digest
+        assert reply["response"]["work"] == cold.work
+        assert client.stats()["rounds_dispatched"] == rounds
+        assert client.result(reply["job"]["job_id"]).to_dict() == reply["response"]
+
+    def test_tenant_default_policy_never_gets_the_no_policy_entry(self, server):
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block(), client="plain")
+        plain = client.schedule(request)
+        assert plain.policy is None
+        client.set_policy("tenant", SchedulePolicy("finalize_partial", max_dp_work=200))
+        tenant_request = _request(paper_figure1_block(), client="tenant")
+        first = client.schedule(tenant_request)
+        again = client.schedule(tenant_request)
+        assert (first.cache, again.cache) == ("miss", "hit")
+        for response in (first, again):
+            assert response.policy["partial_finalize"] is True
+            assert response.digest != plain.digest
+        # The tenant's repeat was found on the slow path, not at submit.
+        assert client.stats()["rounds_dispatched"] == 3
+
+    def test_batch_and_http_share_entries(self, server, tmp_path):
+        spec = CacheSpec(root=str(tmp_path / "cache"))
+        client = ServiceClient(server.url)
+        by_batch = _request(paper_figure1_block())
+        batch = schedule_many([by_batch], cache=spec)
+        assert batch.cache_outcomes == ["miss"]
+        status, reply = _post_raw(server.url, json.dumps(by_batch.to_dict()).encode())
+        assert reply["job"]["state"] == "done" and reply["response"]["cache"] == "hit"
+        assert reply["response"]["digest"] == fingerprint_digest([batch.values[0].fingerprint()])
+
+        by_http = _request(dot_product_kernel())
+        over_http = client.schedule(by_http)
+        assert over_http.cache == "miss"
+        warm = schedule_many([by_http], cache=spec)
+        assert warm.cache_outcomes == ["hit"]
+        assert fingerprint_digest([warm.values[0].fingerprint()]) == over_http.digest
+        assert warm.values[0].work == over_http.work
+
+    def test_reordered_keys_and_whitespace_still_hit(self, server):
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block())
+        cold = client.schedule(request)
+        rounds = client.stats()["rounds_dispatched"]
+        body = json.dumps(_reordered(request.to_dict()), indent=3).encode()
+        status, reply = _post_raw(server.url, b"\n  " + body + b"\n")
+        assert reply["job"]["state"] == "done"
+        assert reply["response"]["cache"] == "hit"
+        assert reply["response"]["digest"] == cold.digest
+        assert client.stats()["rounds_dispatched"] == rounds
+
+    def test_unknown_key_is_rejected_even_with_an_entry(self, server):
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block())
+        client.schedule(request)
+        wire = request.to_dict()
+        wire["priority"] = 1
+        status, reply = _post_raw(server.url, json.dumps(wire).encode())
+        assert status == 400
+        assert "unknown ScheduleRequest keys ['priority']" in reply["error"]
+        assert client.stats()["jobs"]["total"] == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign"])
+    def test_damaged_entry_is_recomputed_and_rewritten(self, server, tmp_path, damage):
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block())
+        cold = client.schedule(request)
+        (path,) = _entry_paths(tmp_path / "cache")
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2] if damage == "truncated" else '{"answer": 42}')
+        redo = client.schedule(request)
+        assert redo.cache == "miss"
+        assert (redo.digest, redo.work) == (cold.digest, cold.work)
+        rewritten, original = json.loads(path.read_text()), json.loads(text)
+        assert rewritten["response"] == original["response"]
+        assert client.schedule(request).cache == "hit"
+
+    def test_planted_pickle_is_never_opened(self, server, tmp_path):
+        request = _request(paper_figure1_block())
+        key = request_cache_key(json.loads(json.dumps(request.to_dict())))
+        planted = tmp_path / "cache" / CODE_SALT / key[:2] / f"{key}.pkl"
+        planted.parent.mkdir(parents=True)
+        planted.write_bytes(pickle.dumps(_Tripwire()))
+        _UNPICKLED.clear()
+        response = ServiceClient(server.url).schedule(request)
+        batch = schedule_many([request], cache=CacheSpec(root=str(tmp_path / "cache")))
+        assert response.cache == "miss" and batch.cache_outcomes == ["hit"]
+        assert not _UNPICKLED
+        assert planted.read_bytes() == pickle.dumps(_Tripwire())
+
+    def test_fast_hits_are_counted_like_slow_hits(self, server):
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block())
+        client.schedule(request)
+        before = client.stats()
+        fast = client.schedule(_request(paper_figure1_block(), client="fast"))
+        # A top-level policy spells the request non-canonically: the body
+        # misses at submit and the slow path finds the same entry.
+        wire = _request(paper_figure1_block(), client="slow").to_dict()
+        wire["policy"] = None
+        status, reply = _post_raw(server.url, json.dumps(wire).encode())
+        assert reply["job"]["state"] == "queued"
+        slow = client.result(reply["job"]["job_id"])
+        after = client.stats()
+
+        assert (fast.cache, slow.cache) == ("hit", "hit")
+        ignored = ("job_id", "wall_s")
+        assert {k: v for k, v in fast.to_dict().items() if k not in ignored} == {
+            k: v for k, v in slow.to_dict().items() if k not in ignored
+        }
+        fast_state, slow_state = client.client_state("fast"), client.client_state("slow")
+        assert fast_state.pop("name") == "fast" and slow_state.pop("name") == "slow"
+        assert fast_state == slow_state
+        assert fast_state["completed"] == 1 and fast_state["dp_work"] == fast.work
+        assert after["cache"]["hits"] - before["cache"]["hits"] == 2
+        assert after["cache"]["misses"] == before["cache"]["misses"]
+        assert after["jobs"]["by_state"]["done"] - before["jobs"]["by_state"]["done"] == 2
+        assert after["rounds_dispatched"] - before["rounds_dispatched"] == 1
+
+
+# --------------------------------------------------------------------------- #
+# read deadlines
+# --------------------------------------------------------------------------- #
+@pytest.fixture()
+def short_deadlines(monkeypatch):
+    monkeypatch.setattr(service_http, "HEADER_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(service_http, "BODY_TIMEOUT_S", 0.2)
+
+
+def _raw_exchange(url, sent: bytes) -> bytes:
+    """Send *sent*, then read until the server closes the connection."""
+    host, port = url.split("//", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(sent)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestReadDeadlines:
+    def test_idle_connection_gets_a_408(self, short_deadlines, server):
+        reply = _raw_exchange(server.url, b"")
+        assert reply.startswith(b"HTTP/1.1 408 Request Timeout")
+        assert b"request head not received" in reply
+
+    def test_half_sent_body_gets_a_408(self, short_deadlines, server):
+        head = b"POST /api/v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+        reply = _raw_exchange(server.url, head + b'{"block":')
+        assert reply.startswith(b"HTTP/1.1 408 Request Timeout")
+        assert b"request body not received" in reply
+        assert ServiceClient(server.url).stats()["jobs"]["total"] == 0
+
+    def test_long_poll_outlives_the_read_deadlines(self, short_deadlines, serial_server):
+        client = ServiceClient(serial_server.url)
+        running = client.submit(_request(_slow_block(11)))
+        queued = client.submit(_request(paper_figure1_block()))
+        with pytest.raises(TimeoutError):
+            client.result(queued.job_id, timeout=0.5)
+        assert client.result(running.job_id).state == "done"
 
 
 # --------------------------------------------------------------------------- #
